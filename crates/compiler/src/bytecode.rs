@@ -56,6 +56,10 @@ pub enum Op {
     /// Pop a message; push its `names[name]` field. `site` indexes the
     /// per-logic field-offset cache.
     Field { name: u32, site: u32 },
+    /// Push the `names[name]` field of the message in `frame[slot]`, read
+    /// in place: the fused `Load(slot)` + `Field`, minus the clone of the
+    /// whole message that `Load` would push. Same errors as the pair.
+    LoadField { slot: u32, name: u32, site: u32 },
     /// Pop index, pop base; push `base[index]`.
     Index,
     /// Pop value, pop key, pop target; `target[key] := value`.
@@ -414,10 +418,19 @@ impl Compiler<'_> {
                 chunk.emit(Op::Load(*slot as u32));
             }
             IrExpr::Field(base, field) => {
-                self.expr(chunk, base);
+                let slot = match **base {
+                    IrExpr::Load(slot) => Some(slot as u32),
+                    _ => {
+                        self.expr(chunk, base);
+                        None
+                    }
+                };
                 let name = self.name_of(field);
                 let site = self.field_site(field);
-                chunk.emit(Op::Field { name, site });
+                chunk.emit(match slot {
+                    Some(slot) => Op::LoadField { slot, name, site },
+                    None => Op::Field { name, site },
+                });
             }
             IrExpr::Index(base, index) => {
                 self.expr(chunk, base);
@@ -669,12 +682,55 @@ fun target_backend: ([-/cmd] backends, req: cmd) -> ()
         assert_eq!(program.rules[0].source_param, 1, "backends => client");
         assert_eq!(program.rules[1].source_param, 0, "client => stage");
         let body = &program.functions[0].chunk;
-        assert!(body.code.iter().any(|op| matches!(op, Op::Field { .. })));
+        assert!(body
+            .code
+            .iter()
+            .any(|op| matches!(op, Op::LoadField { .. })));
         assert!(matches!(body.code.last(), Some(Op::Return)));
         // The pipeline inside the function uses the strict send; the
         // channel-sink rule uses the lenient one.
         assert!(body.code.contains(&Op::Send));
         assert!(program.rules[0].chunk.code.contains(&Op::SendRule));
+    }
+
+    /// A projection of a frame local reads the field in place; any other
+    /// base (here a call result) still evaluates onto the stack first.
+    #[test]
+    fn local_field_reads_fuse_into_load_field() {
+        let src = r#"
+type cmd: record
+  key : string
+
+proc P: (cmd/cmd c)
+  c => c
+
+fun echo: (req: cmd) -> (cmd)
+  req
+
+fun keys: (req: cmd) -> (string)
+  req.key + echo(req).key
+"#;
+        let program = compiled(src, "P");
+        let keys = &program.functions[1].chunk;
+        let key = program.names.iter().position(|n| n == "key").unwrap() as u32;
+        assert!(
+            keys.code.contains(&Op::LoadField {
+                slot: 0,
+                name: key,
+                site: 0
+            }),
+            "{:?}",
+            keys.code
+        );
+        assert_eq!(
+            keys.code
+                .iter()
+                .filter(|op| matches!(op, Op::Field { .. }))
+                .count(),
+            1,
+            "only the call-result projection stays unfused: {:?}",
+            keys.code
+        );
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! holds them to that.
 //!
 //! Field projections (`req.key`) execute through per-site inline caches:
-//! each `Op::Field` carries a site id into a per-logic offset table,
-//! seeded from the grammar's record layouts at compile time and verified
-//! (name check) on every hit, so a projection is an index read instead of
-//! a name scan once the first message of a shape has been seen.
+//! each `Op::Field`/`Op::LoadField` carries a site id into a per-logic
+//! offset table, seeded from the grammar's record layouts at compile time
+//! and verified (name check) on every hit, so a projection is an index
+//! read instead of a name scan once the first message of a shape has been
+//! seen. `Op::LoadField` projects a frame local in place, so reading one
+//! field never clones the whole message.
 //!
 //! Runtime logic errors are annotated `[at fn \`name\`, pc N]` via the
 //! shared helpers in [`crate::error`], mirroring the interpreter's
@@ -187,6 +189,27 @@ impl<'p> Vm<'p> {
                             )))
                         ),
                     }
+                }
+                Op::LoadField { slot, name, site } => {
+                    let name = self.program.names[*name as usize].as_str();
+                    let value = match frame.get(*slot as usize) {
+                        Some(RtVal::Val(Value::Msg(msg))) => {
+                            self.project_field(msg, name, *site as usize)
+                        }
+                        Some(other) => vmtry!(
+                            pc,
+                            Err(RuntimeError::Logic(format!(
+                                "cannot read field `{name}` of {other:?}"
+                            )))
+                        ),
+                        None => vmtry!(
+                            pc,
+                            Err(RuntimeError::Logic(format!(
+                                "frame slot {slot} out of range"
+                            )))
+                        ),
+                    };
+                    stack.push(RtVal::Val(value));
                 }
                 Op::Index => {
                     let index = pop(stack);

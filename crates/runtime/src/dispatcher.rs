@@ -244,12 +244,15 @@ fn build_graph(
     match service.factory.build(clients, &service.env) {
         Ok(built) => {
             let task_ids = built.graph.task_ids().to_vec();
+            // Count the graph before its tasks can run: a worker may serve
+            // the first request, and the client observe the reply, before
+            // this thread gets past the scheduling below.
+            service.live_graphs.fetch_add(1, Ordering::Relaxed);
+            shard.note_graph_built();
             scheduler.register_graph(built.graph, &built.initial);
             for watch in &built.watchers {
                 scheduler.schedule(watch.task);
             }
-            service.live_graphs.fetch_add(1, Ordering::Relaxed);
-            shard.note_graph_built();
             Some(LiveGraph {
                 service: Arc::clone(service),
                 task_ids,

@@ -43,7 +43,7 @@ pub mod task;
 pub mod tasks;
 pub mod value;
 
-pub use channel::{ChannelConsumer, ChannelProducer, TaskChannel};
+pub use channel::{ChannelConsumer, ChannelProducer, SendError, TaskChannel};
 pub use dispatcher::{DeployedService, DispatcherBackend};
 pub use error::RuntimeError;
 pub use graph::{GraphBuilder, GraphInstance, NodeId};

@@ -47,6 +47,13 @@ pub struct RuntimeMetrics {
     /// Ejected→healthy transitions: a readmit probe against an ejected
     /// backend succeeded and put it back in rotation.
     pub backend_readmits: AtomicU64,
+    /// Producers parked on a full task channel (one per registration; a
+    /// task already parked on the channel is not counted again).
+    pub channel_parks: AtomicU64,
+    /// Parked producers woken again: by a consumer that drained the
+    /// channel to half capacity, or by one that exited. Bounded by
+    /// `channel_parks` — each registration is woken at most once.
+    pub channel_park_wakes: AtomicU64,
 }
 
 impl RuntimeMetrics {
@@ -72,12 +79,18 @@ impl RuntimeMetrics {
     /// can only inflate the checkout side of a concurrent snapshot and
     /// keeps [`MetricsSnapshot::check_retry_budget`] free of false
     /// positives mid-flight (same trick as the substrate counters).
+    /// `channel_park_wakes` is loaded before `channel_parks` for the same
+    /// reason: a park is counted under the channel lock before the pop that
+    /// wakes it, and the wake is counted with Release ordering.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let backend_retries = self.backend_retries.load(Ordering::Acquire);
         let backend_readmits = self.backend_readmits.load(Ordering::Acquire);
+        let channel_park_wakes = self.channel_park_wakes.load(Ordering::Acquire);
         MetricsSnapshot {
             backend_retries,
             backend_readmits,
+            channel_park_wakes,
+            channel_parks: Self::get(&self.channel_parks),
             backend_checkouts: Self::get(&self.backend_checkouts),
             backend_ejections: Self::get(&self.backend_ejections),
             task_runs: Self::get(&self.task_runs),
@@ -125,6 +138,10 @@ pub struct MetricsSnapshot {
     pub backend_ejections: u64,
     /// Ejected backends readmitted by a successful probe.
     pub backend_readmits: u64,
+    /// Producers parked on a full task channel.
+    pub channel_parks: u64,
+    /// Parked producers woken again.
+    pub channel_park_wakes: u64,
 }
 
 impl MetricsSnapshot {
@@ -140,7 +157,10 @@ impl MetricsSnapshot {
     /// * a graph must be created before it can be destroyed;
     /// * a cooperative yield happens *inside* a task run (the run is
     ///   counted when dispatch starts), so yields can never outnumber
-    ///   runs.
+    ///   runs;
+    /// * a backend is ejected before it can be readmitted;
+    /// * a producer parks on a full channel before it can be woken from
+    ///   it, and each park is woken at most once.
     ///
     /// Only inequalities that hold at every instant under concurrent
     /// updates are checked here; point-in-time balance checks (say,
@@ -164,6 +184,13 @@ impl MetricsSnapshot {
                 "backend health conservation violated: {} readmits > {} ejections \
                  (a backend must be ejected before it can be readmitted)",
                 self.backend_readmits, self.backend_ejections
+            ));
+        }
+        if self.channel_park_wakes > self.channel_parks {
+            return Err(format!(
+                "channel park conservation violated: {} wakes > {} parks \
+                 (a producer must park on a full channel before it is woken)",
+                self.channel_park_wakes, self.channel_parks
             ));
         }
         Ok(())
@@ -243,6 +270,17 @@ mod tests {
         };
         let err = snap.check_conservation().unwrap_err();
         assert!(err.contains("backend health conservation"), "{err}");
+    }
+
+    #[test]
+    fn conservation_rejects_park_wakes_without_parks() {
+        let snap = MetricsSnapshot {
+            channel_parks: 1,
+            channel_park_wakes: 2,
+            ..Default::default()
+        };
+        let err = snap.check_conservation().unwrap_err();
+        assert!(err.contains("channel park conservation"), "{err}");
     }
 
     #[test]

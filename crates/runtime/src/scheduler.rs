@@ -160,6 +160,7 @@ impl SchedulerInner {
         RuntimeMetrics::add(&self.metrics.task_runs, 1);
         self.runs.fetch_add(1, Ordering::Relaxed);
         let mut ctx = TaskContext::new(self.policy, Arc::clone(&self.metrics));
+        ctx.set_current(id);
         let status = task.run(&mut ctx);
         drop(guard);
         for wake in ctx.take_wakes() {
@@ -655,6 +656,163 @@ mod tests {
             );
             assert_eq!(completed.load(Ordering::SeqCst), 40, "policy {policy:?}");
         }
+    }
+
+    /// Sends `0..total` as integers, parking whenever the channel is full,
+    /// and counts its own dispatches.
+    struct SequenceSource {
+        next: i64,
+        total: i64,
+        output: crate::ChannelProducer,
+        runs: Arc<AtomicUsize>,
+    }
+
+    impl Task for SequenceSource {
+        fn label(&self) -> &str {
+            "sequence"
+        }
+
+        fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            while self.next < self.total {
+                match self.output.send(Value::Int(self.next), ctx) {
+                    Ok(()) => self.next += 1,
+                    Err(crate::SendError::Full(_)) => return TaskStatus::Idle,
+                    Err(crate::SendError::Disconnected(_)) => break,
+                }
+                if !ctx.can_continue() {
+                    return TaskStatus::Runnable;
+                }
+            }
+            self.output.close();
+            TaskStatus::Finished
+        }
+    }
+
+    /// Checks that values arrive as `0, 1, 2, ...`, spinning a little per
+    /// value so the consumer is the slow side of the channel.
+    struct SlowInOrder {
+        expected: i64,
+        in_order: Arc<AtomicBool>,
+        seen: Arc<AtomicUsize>,
+    }
+
+    impl ComputeLogic for SlowInOrder {
+        fn on_value(
+            &mut self,
+            _input: usize,
+            value: Value,
+            _out: &mut Outputs<'_>,
+        ) -> Result<(), RuntimeError> {
+            if value != Value::Int(self.expected) {
+                self.in_order.store(false, Ordering::Relaxed);
+            }
+            self.expected += 1;
+            self.seen.fetch_add(1, Ordering::Relaxed);
+            for _ in 0..200 {
+                std::hint::spin_loop();
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn full_channel_parks_a_fast_producer_instead_of_spinning() {
+        const VALUES: i64 = 200_000;
+        let metrics = RuntimeMetrics::new_shared();
+        // No timeslice: every producer run ends in a park, so the bound
+        // below does not depend on the wall clock.
+        let scheduler = Scheduler::start(2, SchedulingPolicy::NonCooperative, Arc::clone(&metrics));
+        let alloc = TaskIdAllocator::new();
+        let mut builder = GraphBuilder::new("backpressure", &alloc).with_channel_capacity(8);
+        let source_node = builder.declare_node();
+        let sink_node = builder.declare_node();
+        let (tx, rx) = builder.channel(sink_node);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let in_order = Arc::new(AtomicBool::new(true));
+        let seen = Arc::new(AtomicUsize::new(0));
+        builder.install(
+            source_node,
+            Box::new(SequenceSource {
+                next: 0,
+                total: VALUES,
+                output: tx,
+                runs: Arc::clone(&runs),
+            }),
+        );
+        builder.install(
+            sink_node,
+            Box::new(ComputeTask::new(
+                "slow-sink",
+                vec![rx],
+                vec![],
+                Box::new(SlowInOrder {
+                    expected: 0,
+                    in_order: Arc::clone(&in_order),
+                    seen: Arc::clone(&seen),
+                }),
+            )),
+        );
+        scheduler.register_graph(builder.build(), &[source_node.task_id()]);
+        assert!(scheduler.wait_idle(Duration::from_secs(60)), "graph drains");
+        assert_eq!(seen.load(Ordering::Relaxed), VALUES as usize);
+        assert!(in_order.load(Ordering::Relaxed), "delivery out of order");
+        // Every wakeup finds at least half the channel free, so each
+        // producer run pushes a batch of >= 4. A producer re-queued on a
+        // full channel would instead run about once per consumed value.
+        let producer_runs = runs.load(Ordering::Relaxed);
+        let bound = VALUES as usize / 4 + 1_000;
+        assert!(
+            producer_runs <= bound,
+            "producer ran {producer_runs} times for {VALUES} values (bound {bound})"
+        );
+        let snap = metrics.snapshot();
+        assert!(snap.channel_parks > 0, "{snap:?}");
+        snap.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn a_failing_consumer_releases_its_parked_producer() {
+        // One worker and no timeslice make the order deterministic: the
+        // source fills the channel and parks before the consumer runs, and
+        // the consumer fails on its first value.
+        struct FailFirst;
+        impl ComputeLogic for FailFirst {
+            fn on_value(
+                &mut self,
+                _input: usize,
+                _value: Value,
+                _out: &mut Outputs<'_>,
+            ) -> Result<(), RuntimeError> {
+                Err(RuntimeError::Logic("consumer failed".into()))
+            }
+        }
+        let metrics = RuntimeMetrics::new_shared();
+        let scheduler = Scheduler::start(1, SchedulingPolicy::NonCooperative, Arc::clone(&metrics));
+        let alloc = TaskIdAllocator::new();
+        let mut builder = GraphBuilder::new("failing", &alloc).with_channel_capacity(4);
+        let source_node = builder.declare_node();
+        let sink_node = builder.declare_node();
+        let (tx, rx) = builder.channel(sink_node);
+        builder.install(source_node, Box::new(SourceTask::new("src", 1_000, 8, tx)));
+        builder.install(
+            sink_node,
+            Box::new(ComputeTask::new(
+                "fail",
+                vec![rx],
+                vec![],
+                Box::new(FailFirst),
+            )),
+        );
+        scheduler.register_graph(builder.build(), &[source_node.task_id()]);
+        assert!(
+            scheduler.wait_idle(Duration::from_secs(10)),
+            "the parked producer must finish, not wait forever: {} tasks left",
+            scheduler.task_count()
+        );
+        let snap = metrics.snapshot();
+        assert_eq!((snap.channel_parks, snap.channel_park_wakes), (1, 1));
+        snap.check_conservation().unwrap();
     }
 
     #[test]

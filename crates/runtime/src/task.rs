@@ -65,7 +65,8 @@ impl SchedulingPolicy {
 pub enum TaskStatus {
     /// The task still has work it could do right now; re-queue it.
     Runnable,
-    /// The task is waiting for input; it will be woken when data arrives.
+    /// The task is waiting: for input, for connection readiness, or parked
+    /// on a full output channel. Whatever it waits on wakes it.
     Idle,
     /// The task has finished for good and can be dropped.
     Finished,
@@ -80,6 +81,9 @@ pub struct TaskContext {
     wake_list: Vec<TaskId>,
     metrics: Arc<RuntimeMetrics>,
     yielded: bool,
+    /// The task being dispatched, when run by a scheduler: the identity a
+    /// producer parks under when its output channel is full.
+    current: Option<TaskId>,
 }
 
 impl TaskContext {
@@ -96,7 +100,20 @@ impl TaskContext {
             wake_list: Vec::new(),
             metrics,
             yielded: false,
+            current: None,
         }
+    }
+
+    /// Records which task this context dispatches.
+    pub(crate) fn set_current(&mut self, task: TaskId) {
+        self.current = Some(task);
+    }
+
+    /// The task being dispatched, or `None` for a context built outside a
+    /// scheduler (tests, micro-benchmarks). A producer without an identity
+    /// cannot park, so a full channel simply reports back to it.
+    pub(crate) fn current(&self) -> Option<TaskId> {
+        self.current
     }
 
     /// The policy in force.

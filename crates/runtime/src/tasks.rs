@@ -12,7 +12,7 @@
 //! * [`SourceTask`] and [`SyntheticWorkTask`] — synthetic producers used by
 //!   tests and by the resource-sharing micro-benchmark of §6.4.
 
-use crate::channel::{ChannelConsumer, ChannelProducer};
+use crate::channel::{ChannelConsumer, ChannelProducer, SendError};
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeMetrics;
 use crate::task::{Task, TaskContext, TaskStatus};
@@ -83,43 +83,58 @@ impl InputTask {
         &self.endpoint
     }
 
-    /// Tries to push a parsed message, stashing it if the channel is full.
-    fn push_out(&mut self, value: Value, ctx: &mut TaskContext) -> bool {
-        match self.output.push(value) {
+    /// Hands a parsed message to the graph. `None` means carry on;
+    /// otherwise the status this run ends with: `Idle` when the channel is
+    /// full (the task is parked on it and the message waits in `pending`),
+    /// `Finished` when the consumer has exited.
+    fn push_out(&mut self, value: Value, ctx: &mut TaskContext) -> Option<TaskStatus> {
+        match self.output.send(value, ctx) {
             Ok(()) => {
-                ctx.wake(self.output.consumer());
                 RuntimeMetrics::add(&ctx.metrics().messages_in, 1);
-                true
+                None
             }
-            Err(back) => {
+            Err(SendError::Full(back)) => {
                 self.pending = Some(back);
-                false
+                Some(TaskStatus::Idle)
             }
+            Err(SendError::Disconnected(_)) => Some(TaskStatus::Finished),
         }
     }
 
     /// Parses as many complete messages as possible from the shared
     /// buffer. Each message is parsed zero-copy out of a [`SharedBuf::view`]
-    /// — consuming it is an index bump, not a drain-and-shift.
-    fn drain_buffer(&mut self, ctx: &mut TaskContext) -> Result<bool, RuntimeError> {
+    /// — consuming it is an index bump, not a drain-and-shift. Returns
+    /// `None` once no complete message is left, or the status this run
+    /// ends with.
+    fn drain_buffer(&mut self, ctx: &mut TaskContext) -> Result<Option<TaskStatus>, RuntimeError> {
         loop {
             if self.buf.is_empty() {
-                return Ok(true);
+                return Ok(None);
             }
             let view = self.buf.view();
             match self.codec.parse_bytes(&view, self.projection.as_ref())? {
                 ParseOutcome::Complete { message, consumed } => {
                     self.buf.consume(consumed);
-                    if !self.push_out(Value::Msg(message), ctx) {
-                        return Ok(false);
+                    if let Some(status) = self.push_out(Value::Msg(message), ctx) {
+                        return Ok(Some(status));
                     }
                     if !ctx.can_continue() {
-                        return Ok(false);
+                        return Ok(Some(TaskStatus::Runnable));
                     }
                 }
-                ParseOutcome::Incomplete { .. } => return Ok(true),
+                ParseOutcome::Incomplete { .. } => return Ok(None),
             }
         }
+    }
+
+    /// A malformed stream terminates the connection, as the paper's default
+    /// behaviour for unparseable input. The blast radius is this one
+    /// connection: siblings on the same service keep running, and the close
+    /// is tallied separately so the sim battery can bound it.
+    fn malformed(&mut self) -> TaskStatus {
+        self.endpoint.close_malformed();
+        self.output.close();
+        TaskStatus::Finished
     }
 }
 
@@ -138,26 +153,17 @@ impl Task for InputTask {
     }
 
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
-        // First retry any message that did not fit the channel last time.
+        // First deliver the message that found the channel full last time.
         if let Some(value) = self.pending.take() {
-            if !self.push_out(value, ctx) {
-                return TaskStatus::Runnable;
+            if let Some(status) = self.push_out(value, ctx) {
+                return status;
             }
         }
         // Parse whatever is already buffered.
         match self.drain_buffer(ctx) {
-            Ok(true) => {}
-            Ok(false) => return TaskStatus::Runnable,
-            Err(_) => {
-                // A malformed stream terminates the connection, as the paper's
-                // default behaviour for unparseable input. The blast radius
-                // is this one connection: siblings on the same service keep
-                // running, and the close is tallied separately so the sim
-                // battery can bound it.
-                self.endpoint.close_malformed();
-                self.output.close();
-                return TaskStatus::Finished;
-            }
+            Ok(None) => {}
+            Ok(Some(status)) => return status,
+            Err(_) => return self.malformed(),
         }
         // Then read more bytes from the connection, straight into the
         // shared buffer — no intermediate stack chunk, no append copy.
@@ -165,13 +171,9 @@ impl Task for InputTask {
             match self.endpoint.read_into(&mut self.buf) {
                 Ok(_) => {
                     match self.drain_buffer(ctx) {
-                        Ok(true) => {}
-                        Ok(false) => return TaskStatus::Runnable,
-                        Err(_) => {
-                            self.endpoint.close_malformed();
-                            self.output.close();
-                            return TaskStatus::Finished;
-                        }
+                        Ok(None) => {}
+                        Ok(Some(status)) => return status,
+                        Err(_) => return self.malformed(),
                     }
                     if !ctx.can_continue() {
                         return TaskStatus::Runnable;
@@ -201,7 +203,7 @@ impl Task for InputTask {
 pub struct Outputs<'a> {
     producers: &'a [ChannelProducer],
     overflow: &'a mut VecDeque<(usize, Value)>,
-    wakes: Vec<crate::task::TaskId>,
+    ctx: &'a mut TaskContext,
 }
 
 impl<'a> Outputs<'a> {
@@ -217,19 +219,20 @@ impl<'a> Outputs<'a> {
 
     /// Emits `value` on output channel `output`.
     ///
-    /// If the channel is full the value is buffered and delivered on a later
-    /// dispatch, so logic never loses data.
+    /// If the channel is full the value is buffered (the task parks on the
+    /// channel) and delivered on a later dispatch, so logic never loses
+    /// data; while anything is buffered, later values queue behind it so
+    /// each channel keeps emission order. A value for a consumer that has
+    /// exited is dropped: nobody will ever read it.
     pub fn emit(&mut self, output: usize, value: Value) {
         debug_assert!(output < self.producers.len(), "output index out of range");
-        let producer = &self.producers[output];
-        let consumer = producer.consumer();
-        match producer.push(value) {
-            Ok(()) => {
-                if !self.wakes.contains(&consumer) {
-                    self.wakes.push(consumer);
-                }
-            }
-            Err(back) => self.overflow.push_back((output, back)),
+        if !self.overflow.is_empty() {
+            self.overflow.push_back((output, value));
+            return;
+        }
+        match self.producers[output].send(value, self.ctx) {
+            Ok(()) | Err(SendError::Disconnected(_)) => {}
+            Err(SendError::Full(back)) => self.overflow.push_back((output, back)),
         }
     }
 }
@@ -283,17 +286,33 @@ impl ComputeTask {
         }
     }
 
+    /// Delivers the values that found their channel full. Returns `false`
+    /// while one still does: the task is then parked on that channel.
+    /// Values bound for an exited consumer are dropped.
     fn flush_overflow(&mut self, ctx: &mut TaskContext) -> bool {
         while let Some((output, value)) = self.overflow.pop_front() {
-            match self.outputs[output].push(value) {
-                Ok(()) => ctx.wake(self.outputs[output].consumer()),
-                Err(back) => {
+            match self.outputs[output].send(value, ctx) {
+                Ok(()) | Err(SendError::Disconnected(_)) => {}
+                Err(SendError::Full(back)) => {
                     self.overflow.push_front((output, back));
                     return false;
                 }
             }
         }
         true
+    }
+
+    /// Logic errors terminate the graph instance: downstream sees
+    /// end-of-stream, upstream producers parked on this task's inputs are
+    /// woken to find it gone.
+    fn fail(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        for out in &self.outputs {
+            out.close();
+        }
+        for input in &self.inputs {
+            input.disconnect(ctx);
+        }
+        TaskStatus::Finished
     }
 }
 
@@ -304,33 +323,23 @@ impl Task for ComputeTask {
 
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         if !self.flush_overflow(ctx) {
-            return TaskStatus::Runnable;
+            return TaskStatus::Idle;
         }
         let mut made_progress = true;
         while made_progress {
             made_progress = false;
             for input in 0..self.inputs.len() {
-                let value = self.inputs[input].pop();
-                match value {
+                match self.inputs[input].recv(ctx) {
                     Some(value) => {
                         made_progress = true;
                         RuntimeMetrics::add(&ctx.metrics().values_processed, 1);
                         let mut outputs = Outputs {
                             producers: &self.outputs,
                             overflow: &mut self.overflow,
-                            wakes: Vec::new(),
+                            ctx,
                         };
-                        let result = self.logic.on_value(input, value, &mut outputs);
-                        let wakes = std::mem::take(&mut outputs.wakes);
-                        for w in wakes {
-                            ctx.wake(w);
-                        }
-                        if result.is_err() {
-                            // Logic errors terminate the graph instance.
-                            for out in &self.outputs {
-                                out.close();
-                            }
-                            return TaskStatus::Finished;
+                        if self.logic.on_value(input, value, &mut outputs).is_err() {
+                            return self.fail(ctx);
                         }
                         if !ctx.can_continue() {
                             return TaskStatus::Runnable;
@@ -342,18 +351,10 @@ impl Task for ComputeTask {
                             let mut outputs = Outputs {
                                 producers: &self.outputs,
                                 overflow: &mut self.overflow,
-                                wakes: Vec::new(),
+                                ctx,
                             };
-                            let result = self.logic.on_input_finished(input, &mut outputs);
-                            let wakes = std::mem::take(&mut outputs.wakes);
-                            for w in wakes {
-                                ctx.wake(w);
-                            }
-                            if result.is_err() {
-                                for out in &self.outputs {
-                                    out.close();
-                                }
-                                return TaskStatus::Finished;
+                            if self.logic.on_input_finished(input, &mut outputs).is_err() {
+                                return self.fail(ctx);
                             }
                             made_progress = true;
                         }
@@ -361,18 +362,16 @@ impl Task for ComputeTask {
                 }
             }
         }
-        if self.input_finished.iter().all(|f| *f) && self.overflow.is_empty() {
+        // A value still waiting on a full channel leaves the task parked
+        // on that channel; its consumer wakes it.
+        if self.flush_overflow(ctx) && self.input_finished.iter().all(|f| *f) {
             for out in &self.outputs {
                 out.close();
                 ctx.wake(out.consumer());
             }
             return TaskStatus::Finished;
         }
-        if !self.overflow.is_empty() {
-            TaskStatus::Runnable
-        } else {
-            TaskStatus::Idle
-        }
+        TaskStatus::Idle
     }
 }
 
@@ -536,6 +535,14 @@ impl OutputTask {
         Ok(true)
     }
 
+    /// Closes the connection and leaves for good, waking any producer
+    /// parked on the input so it finds this consumer gone.
+    fn fail(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        self.endpoint.close();
+        self.input.disconnect(ctx);
+        TaskStatus::Finished
+    }
+
     /// Status for a blocked (`WouldBlock`) flush: park on writable
     /// readiness unless busy retrying is the configured mode or the block
     /// is a rate limiter (buffer space exists, so no peer transition will
@@ -570,11 +577,10 @@ impl Task for OutputTask {
                 Ok(false) => return self.blocked(ctx),
                 Err(_) => {
                     // The peer is gone; drop remaining output.
-                    self.endpoint.close();
-                    return TaskStatus::Finished;
+                    return self.fail(ctx);
                 }
             }
-            match self.input.pop() {
+            match self.input.recv(ctx) {
                 Some(value) => {
                     // `flush` ran to completion above, so the outbuf is
                     // empty and no body segment is pending — the split
@@ -603,8 +609,7 @@ impl Task for OutputTask {
                         ))),
                     };
                     if result.is_err() {
-                        self.endpoint.close();
-                        return TaskStatus::Finished;
+                        return self.fail(ctx);
                     }
                     RuntimeMetrics::add(&ctx.metrics().messages_out, 1);
                     if !ctx.can_continue() {
@@ -662,12 +667,11 @@ impl Task for SourceTask {
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         while self.remaining > 0 {
             let value = Value::Bytes(Bytes::from(vec![1u8; self.item_size]));
-            match self.output.push(value) {
-                Ok(()) => {
-                    ctx.wake(self.output.consumer());
-                    self.remaining -= 1;
-                }
-                Err(_) => return TaskStatus::Runnable,
+            match self.output.send(value, ctx) {
+                Ok(()) => self.remaining -= 1,
+                // Parked on the full channel; the consumer wakes us.
+                Err(SendError::Full(_)) => return TaskStatus::Idle,
+                Err(SendError::Disconnected(_)) => return self.finish(),
             }
             if !ctx.can_continue() {
                 return if self.remaining == 0 {
@@ -868,17 +872,110 @@ mod tests {
         in_tx.push(Value::Int(1)).unwrap();
         in_tx.push(Value::Int(2)).unwrap();
         in_tx.push(Value::Int(3)).unwrap();
-        let status = task.run(&mut ctx());
+        let mut c = ctx();
+        c.set_current(TaskId(2));
+        let status = task.run(&mut c);
         assert_eq!(
             status,
-            TaskStatus::Runnable,
-            "overflowed values keep the task runnable"
+            TaskStatus::Idle,
+            "overflowed values park the task instead of re-queueing it"
         );
-        assert_eq!(out_rx.pop(), Some(Value::Int(1)));
-        // Draining the output lets the retry succeed.
-        let status = task.run(&mut ctx());
-        assert!(matches!(status, TaskStatus::Idle | TaskStatus::Runnable));
+        assert_eq!(RuntimeMetrics::get(&c.metrics().channel_parks), 1);
+        // Draining the output to half capacity wakes the parked task...
+        let mut consumer = ctx();
+        assert_eq!(out_rx.recv(&mut consumer), Some(Value::Int(1)));
+        assert_eq!(consumer.take_wakes(), vec![TaskId(2)]);
+        // ...and its next dispatch delivers the overflow in order.
+        assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         assert_eq!(out_rx.pop(), Some(Value::Int(2)));
+        task.run(&mut ctx());
+        assert_eq!(out_rx.pop(), Some(Value::Int(3)));
+        in_tx.close();
+        assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
+    }
+
+    /// Forwards each value, then takes one value off the output channel,
+    /// as a consumer running on another worker could between two emits.
+    struct ForwardThenDrain {
+        downstream: Arc<ChannelConsumer>,
+        seen: Arc<parking_lot::Mutex<Vec<Value>>>,
+    }
+    impl ComputeLogic for ForwardThenDrain {
+        fn on_value(
+            &mut self,
+            _input: usize,
+            value: Value,
+            out: &mut Outputs<'_>,
+        ) -> Result<(), RuntimeError> {
+            out.emit(0, value);
+            self.seen.lock().extend(self.downstream.pop());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn emits_queue_behind_overflow_to_keep_channel_order() {
+        let (in_tx, in_rx) = TaskChannel::bounded(16, TaskId(2));
+        let (out_tx, out_rx) = TaskChannel::bounded(1, TaskId(3));
+        let out_rx = Arc::new(out_rx);
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        // Fill the output so the first emit overflows.
+        out_tx.push(Value::Int(0)).unwrap();
+        let logic = ForwardThenDrain {
+            downstream: Arc::clone(&out_rx),
+            seen: Arc::clone(&seen),
+        };
+        let mut task = ComputeTask::new("compute", vec![in_rx], vec![out_tx], Box::new(logic));
+        for i in 1..=3 {
+            in_tx.push(Value::Int(i)).unwrap();
+        }
+        in_tx.close();
+        for _ in 0..10 {
+            let status = task.run(&mut ctx());
+            seen.lock().extend(out_rx.pop());
+            if status == TaskStatus::Finished {
+                break;
+            }
+        }
+        // The drain freed the slot before the second emit, yet 2 must not
+        // overtake 1, which was still waiting in the overflow.
+        let expected: Vec<Value> = (0..=3).map(Value::Int).collect();
+        assert_eq!(*seen.lock(), expected);
+    }
+
+    /// Logic that fails on every value.
+    struct Failing;
+    impl ComputeLogic for Failing {
+        fn on_value(
+            &mut self,
+            _input: usize,
+            _value: Value,
+            _out: &mut Outputs<'_>,
+        ) -> Result<(), RuntimeError> {
+            Err(RuntimeError::Logic("boom".into()))
+        }
+    }
+
+    #[test]
+    fn failing_compute_task_wakes_its_parked_producers() {
+        let (in_tx, in_rx) = TaskChannel::bounded(1, TaskId(2));
+        let (out_tx, out_rx) = TaskChannel::bounded(4, TaskId(3));
+        let mut task = ComputeTask::new("compute", vec![in_rx], vec![out_tx], Box::new(Failing));
+        let mut producer = ctx();
+        producer.set_current(TaskId(1));
+        in_tx.send(Value::Int(1), &mut producer).unwrap();
+        assert!(matches!(
+            in_tx.send(Value::Int(2), &mut producer),
+            Err(SendError::Full(_))
+        ));
+        let mut c = ctx();
+        assert_eq!(task.run(&mut c), TaskStatus::Finished);
+        assert_eq!(c.take_wakes(), vec![TaskId(1)], "the parked producer");
+        assert!(out_rx.producers_closed());
+        assert!(matches!(
+            in_tx.send(Value::Int(2), &mut producer),
+            Err(SendError::Disconnected(_))
+        ));
     }
 
     #[test]
@@ -933,12 +1030,45 @@ mod tests {
     fn source_task_respects_full_channel() {
         let (tx, rx) = TaskChannel::bounded(4, TaskId(5));
         let mut task = SourceTask::new("src", 10, 8, tx);
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Runnable);
+        // A full channel parks the source (Idle) instead of re-queueing it.
+        assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         assert_eq!(rx.len(), 4);
         while rx.pop().is_some() {}
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Runnable);
+        assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         while rx.pop().is_some() {}
         assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
+    }
+
+    #[test]
+    fn source_task_finishes_when_its_consumer_is_gone() {
+        let (tx, rx) = TaskChannel::bounded(4, TaskId(5));
+        let mut task = SourceTask::new("src", 10, 8, tx);
+        drop(rx);
+        assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
+    }
+
+    #[test]
+    fn input_task_parks_on_a_full_channel_and_resumes_in_order() {
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(85).unwrap();
+        let client = net.connect(85).unwrap();
+        let server = listener.accept().unwrap();
+        client
+            .write(b"GET /1 HTTP/1.1\r\n\r\nGET /2 HTTP/1.1\r\n\r\nGET /3 HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let (tx, rx) = TaskChannel::bounded(1, TaskId(1));
+        let mut task = InputTask::new("in", server, Arc::new(HttpCodec::new()), None, tx);
+        for path in ["/1", "/2", "/3"] {
+            let mut c = ctx();
+            c.set_current(TaskId(9));
+            let status = task.run(&mut c);
+            let msg = rx.recv(&mut c).unwrap().into_msg().unwrap();
+            assert_eq!(msg.str_field("path"), Some(path));
+            if path != "/3" {
+                assert_eq!(status, TaskStatus::Idle, "parked behind {path}");
+                assert!(c.take_wakes().contains(&TaskId(9)), "the pop wakes it");
+            }
+        }
     }
 
     #[test]

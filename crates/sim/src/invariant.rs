@@ -241,4 +241,29 @@ mod tests {
             violations[0]
         );
     }
+
+    /// The channel-park law rides in `check_conservation`, so every tick
+    /// checks it without a gate of its own.
+    #[test]
+    fn channel_park_law_flows_into_the_tick_battery() {
+        let net = StatsSnapshot::default();
+        let parked = MetricsSnapshot {
+            channel_parks: 3,
+            channel_park_wakes: 3,
+            ..Default::default()
+        };
+        assert!(check_tick(5, 1, &net, &parked, TickChecks::default()).is_empty());
+        let impossible = MetricsSnapshot {
+            channel_parks: 1,
+            channel_park_wakes: 2,
+            ..Default::default()
+        };
+        let violations = check_tick(5, 2, &net, &impossible, TickChecks::default());
+        assert_eq!(violations.len(), 1);
+        assert!(
+            violations[0].what.contains("channel park"),
+            "{}",
+            violations[0]
+        );
+    }
 }

@@ -294,6 +294,23 @@ fn listing3_hadoop_aggregation_reduces_traffic() {
         "aggregation must reduce traffic: {} -> {forwarded}",
         stats.bytes
     );
+    // The foldt task is slower than the mappers' input tasks, so their
+    // channels run full. A producer parks on a full channel until it has
+    // drained to half capacity instead of being re-queued at once, so
+    // task runs stay well below one per record. Runs that ended because
+    // the timeslice expired are left out: their number follows the wall
+    // clock (a loaded host preempts more), while a re-queue on a full
+    // channel never counts as a yield.
+    let runtime = platform.metrics().snapshot();
+    let runs = runtime.task_runs - runtime.cooperative_yields;
+    let runs_per_record = runs as f64 / runtime.messages_in.max(1) as f64;
+    assert!(
+        runs_per_record < 0.5,
+        "{runs} task runs (beyond {} yields) for {} records ({runs_per_record:.2} per record)",
+        runtime.cooperative_yields,
+        runtime.messages_in
+    );
+    runtime.check_conservation().unwrap();
 }
 
 #[test]

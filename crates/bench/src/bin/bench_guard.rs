@@ -324,8 +324,8 @@ fn main() {
         "req/s",
     ));
     // The kernel-path sharding curve: the same loopback service at 1 and
-    // 2 shards, each shard with its own reactor thread and SO_REUSEPORT
-    // accept socket. Three passes, best-of-three per shard count: like
+    // 2 shards, each shard with its own epoll instance (waited on by its
+    // dispatcher) and SO_REUSEPORT accept socket. Three passes, best-of-three per shard count: like
     // the runtime sharding gate above, on a single-core host the ratio
     // measures pure sharding overhead against a 5% allowance, so it gets
     // the extra variance-reduction pass.

@@ -21,8 +21,8 @@ use std::time::Duration;
 
 /// The `--tcp` mode: real kernel sockets versus the simulated kernel cost
 /// model, same platform, increasing client fleets. `--shards N` runs the
-/// kernel path sharded: one reactor thread and one `SO_REUSEPORT` accept
-/// socket per shard.
+/// kernel path sharded: one epoll instance (waited on by the shard's own
+/// dispatcher) and one `SO_REUSEPORT` accept socket per shard.
 fn run_tcp_mode(shards: usize) {
     let mut rows = Vec::new();
     for concurrency in [4usize, 16, 32] {

@@ -722,8 +722,8 @@ pub struct TcpShardingPoint {
 
 /// Runs the kernel-path sharding curve (the fig5 companion for the OS
 /// transport): the same loopback web service at 1, 2, 4, … shards up to
-/// `max_shards`, each shard owning its own reactor thread and
-/// `SO_REUSEPORT` accept socket. On a single-core host the interesting
+/// `max_shards`, each shard owning its own epoll instance (waited on by
+/// its dispatcher) and `SO_REUSEPORT` accept socket. On a single-core host the interesting
 /// gate is the *ratio*: sharding the kernel path must not cost throughput
 /// even when it cannot win any.
 pub fn run_tcp_sharding_curve(

@@ -26,7 +26,7 @@
 //! Since the OS transport landed the wire can also be real: [`tcp`]
 //! provides kernel TCP sockets ([`TcpStack`], [`TcpListener`],
 //! [`TcpConn`]) behind the *same* [`Endpoint`]/[`Listener`]/[`Poller`]
-//! contract, driven by a process-wide epoll reactor (DESIGN.md §10).
+//! contract, driven by each shard dispatcher's `epoll_wait` (DESIGN.md §10).
 //! Everything above the substrate is transport-blind.
 //!
 //! # Examples

@@ -53,9 +53,10 @@
 //! assert!(events[0].readiness.readable);
 //! ```
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Identifies one registered event source within a [`Poller`].
@@ -159,23 +160,48 @@ struct PollState {
     pending: HashMap<Token, Readiness>,
     /// Manual [`Poller::wake`] calls not yet consumed by a `wait`.
     wakeups: u64,
+    /// The waiter is parked on the condvar; posters only notify then.
+    in_condvar: bool,
+}
+
+impl PollState {
+    /// Drains every queued event, oldest first, if any (or a manual wake)
+    /// is pending.
+    fn take_ready(&mut self) -> Option<Vec<Event>> {
+        if self.queue.is_empty() && self.wakeups == 0 {
+            return None;
+        }
+        self.wakeups = 0;
+        let pending = &mut self.pending;
+        let drain = self.queue.drain(..).map(|token| Event {
+            token,
+            readiness: pending.remove(&token).unwrap_or_default(),
+        });
+        Some(drain.collect())
+    }
 }
 
 pub(crate) struct PollerInner {
     state: Mutex<PollState>,
     cond: Condvar,
-    /// The kernel reactor owned by this poller, created lazily the first
-    /// time an OS socket registers here. One reactor per poller means one
-    /// epoll instance + thread per shard — registrations never leave the
-    /// owning shard (DESIGN.md §13).
-    os_reactor: std::sync::OnceLock<Arc<crate::tcp::OsReactor>>,
+    /// This poller's epoll instance, created the first time an OS socket
+    /// registers here; from then on the waiter blocks in `epoll_wait`
+    /// itself (DESIGN.md §3, §13). Registrations never leave the shard.
+    os_reactor: OnceLock<Arc<crate::tcp::OsReactor>>,
+    /// The waiter is (about to be) blocked in `epoll_wait`; posters then
+    /// poke the self-pipe. See [`Poller::wait`] for the protocol.
+    in_epoll: AtomicBool,
+    /// Debug check that one thread waits at a time.
+    waiting: AtomicBool,
+    epoll_waits: AtomicU64,
+    cross_thread_pokes: AtomicU64,
 }
 
 impl PollerInner {
     pub(crate) fn post(&self, token: Token, readiness: Readiness) {
         let mut state = self.state.lock();
         Self::post_locked(&mut state, token, readiness);
-        self.cond.notify_one();
+        self.notify(state);
     }
 
     fn post_locked(state: &mut PollState, token: Token, readiness: Readiness) {
@@ -186,39 +212,40 @@ impl PollerInner {
             state.queue.push_back(token);
         }
     }
-}
 
-impl Drop for PollerInner {
-    fn drop(&mut self) {
-        // The last reference to this poller is gone: no registration can
-        // post here again, so the shard's reactor thread (if one was ever
-        // started) can exit instead of leaking a thread + epoll fd per
-        // short-lived poller.
-        if let Some(reactor) = self.os_reactor.get() {
-            reactor.initiate_shutdown();
+    /// Wakes the waiter after a push made under `state`'s lock: a condvar
+    /// notify if it is parked there, one self-pipe byte if it is blocked
+    /// in `epoll_wait`, nothing if it is running (it re-checks the queue).
+    fn notify(&self, state: MutexGuard<'_, PollState>) {
+        if state.in_condvar {
+            self.cond.notify_one();
+        }
+        let poke = self.in_epoll.load(Ordering::SeqCst);
+        drop(state);
+        if let (true, Some(reactor)) = (poke, self.os_reactor.get()) {
+            reactor.poke();
+            self.cross_thread_pokes.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 /// Delivers one `epoll_wait` batch of wakes with one lock acquisition and
-/// one condvar notify per destination poller, instead of one of each per
+/// one notification per destination poller, instead of one of each per
 /// event. The batch is grouped by destination in place; relative order
 /// within one poller is preserved (stable sort), which keeps delivery
-/// order deterministic for a single-shard reactor.
+/// order deterministic.
 pub(crate) fn wake_batch(mut wakes: Vec<(WakerSlot, Readiness)>) {
     wakes.sort_by_key(|(slot, _)| Arc::as_ptr(&slot.inner) as usize);
     let mut idx = 0;
     while idx < wakes.len() {
         let inner = Arc::clone(&wakes[idx].0.inner);
-        {
-            let mut state = inner.state.lock();
-            while idx < wakes.len() && Arc::ptr_eq(&wakes[idx].0.inner, &inner) {
-                let (slot, readiness) = &wakes[idx];
-                PollerInner::post_locked(&mut state, slot.token, *readiness);
-                idx += 1;
-            }
+        let mut state = inner.state.lock();
+        while idx < wakes.len() && Arc::ptr_eq(&wakes[idx].0.inner, &inner) {
+            let (slot, readiness) = &wakes[idx];
+            PollerInner::post_locked(&mut state, slot.token, *readiness);
+            idx += 1;
         }
-        inner.cond.notify_one();
+        inner.notify(state);
     }
 }
 
@@ -277,48 +304,86 @@ impl Poller {
                     queue: VecDeque::new(),
                     pending: HashMap::new(),
                     wakeups: 0,
+                    in_condvar: false,
                 }),
                 cond: Condvar::new(),
-                os_reactor: std::sync::OnceLock::new(),
+                os_reactor: OnceLock::new(),
+                in_epoll: AtomicBool::new(false),
+                waiting: AtomicBool::new(false),
+                epoll_waits: AtomicU64::new(0),
+                cross_thread_pokes: AtomicU64::new(0),
             }),
         }
     }
 
-    /// The kernel reactor owned by this poller, started on first use. All
-    /// OS-socket registrations made through this poller land in its epoll
-    /// set; the reactor thread shuts down when the poller is dropped.
+    /// This poller's epoll instance, created on first use. All OS-socket
+    /// registrations made through this poller land in its epoll set.
     pub(crate) fn os_reactor(&self) -> Arc<crate::tcp::OsReactor> {
         Arc::clone(
             self.inner
                 .os_reactor
-                .get_or_init(crate::tcp::OsReactor::start),
+                .get_or_init(crate::tcp::OsReactor::new),
         )
     }
 
     /// Blocks until at least one event (or a manual [`Poller::wake`])
     /// arrives, or `timeout` elapses. Returns every queued event, oldest
     /// first; an empty vector means the wait timed out or was woken.
+    ///
+    /// One thread waits on a poller at a time (debug builds assert it).
+    /// Once an OS socket has registered, the waiter blocks in `epoll_wait`
+    /// itself, rounding a sub-millisecond remainder up so a near deadline
+    /// never spins, and harvests the epoll set on every call — with a 0 ms
+    /// timeout when posts are already queued, so kernel events cannot
+    /// starve. Other threads' posts interrupt `epoll_wait` through the
+    /// self-pipe, Dekker-style: the waiter sees the queue empty and stores
+    /// `in_epoll` (SeqCst) in one critical section, then blocks; a poster
+    /// pushes and loads `in_epoll` in one critical section and pokes only
+    /// if it is set. Either the push precedes the check (the waiter does
+    /// not block) or the store precedes the load (the poster pokes); the
+    /// pipe is level-triggered, so a poke that lands before the waiter
+    /// enters `epoll_wait` is not lost.
     pub fn wait(&self, timeout: Duration) -> Vec<Event> {
+        let inner = &self.inner;
+        debug_assert!(
+            !inner.waiting.swap(true, Ordering::Acquire),
+            "two threads waiting on one Poller"
+        );
         let deadline = Instant::now() + timeout;
-        let mut state = self.inner.state.lock();
-        loop {
-            if !state.queue.is_empty() || state.wakeups > 0 {
-                state.wakeups = 0;
-                let tokens: Vec<Token> = state.queue.drain(..).collect();
-                return tokens
-                    .into_iter()
-                    .map(|token| Event {
-                        token,
-                        readiness: state.pending.remove(&token).unwrap_or_default(),
-                    })
-                    .collect();
+        let mut state = inner.state.lock();
+        let events = loop {
+            if let Some(reactor) = inner.os_reactor.get() {
+                let busy = !state.queue.is_empty() || state.wakeups > 0;
+                let left = deadline.saturating_duration_since(Instant::now());
+                let millis = if busy {
+                    0
+                } else {
+                    left.as_micros().div_ceil(1000)
+                };
+                inner.in_epoll.store(millis > 0, Ordering::SeqCst);
+                drop(state);
+                inner.epoll_waits.fetch_add(1, Ordering::Relaxed);
+                let wakes = reactor.harvest(millis.min(i32::MAX as u128) as i32);
+                inner.in_epoll.store(false, Ordering::SeqCst);
+                wake_batch(wakes);
+                state = inner.state.lock();
+            }
+            if let Some(events) = state.take_ready() {
+                break events;
             }
             let now = Instant::now();
             if now >= deadline {
-                return Vec::new();
+                break Vec::new();
             }
-            self.inner.cond.wait_for(&mut state, deadline - now);
-        }
+            if inner.os_reactor.get().is_none() {
+                state.in_condvar = true;
+                inner.cond.wait_for(&mut state, deadline - now);
+                state.in_condvar = false;
+            }
+        };
+        drop(state);
+        inner.waiting.store(false, Ordering::Release);
+        events
     }
 
     /// Enqueues a user-generated event (the dispatcher uses this for
@@ -332,12 +397,22 @@ impl Poller {
     pub fn wake(&self) {
         let mut state = self.inner.state.lock();
         state.wakeups += 1;
-        self.inner.cond.notify_all();
+        self.inner.notify(state);
     }
 
     /// Number of events currently queued (diagnostics).
     pub fn queued(&self) -> usize {
         self.inner.state.lock().queue.len()
+    }
+
+    /// `epoll_wait` calls made by this poller's waiter (diagnostics).
+    pub fn epoll_waits(&self) -> u64 {
+        self.inner.epoll_waits.load(Ordering::Relaxed)
+    }
+
+    /// Self-pipe bytes other threads wrote to interrupt it (diagnostics).
+    pub fn cross_thread_pokes(&self) -> u64 {
+        self.inner.cross_thread_pokes.load(Ordering::Relaxed)
     }
 
     pub(crate) fn slot(&self, token: Token) -> WakerSlot {

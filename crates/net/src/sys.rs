@@ -12,8 +12,8 @@
 //! behind [`crate::Endpoint::readable`]), `ioctl(FIONREAD)`, raw
 //! `socket`/`setsockopt`/`bind`/`listen` (needed because std cannot set
 //! `SO_REUSEPORT` before binding — the accept-sharding path), `writev`
-//! (vectored header+body responses) and a `pipe2` self-pipe per reactor
-//! (clean shutdown of per-shard reactor threads).
+//! (vectored header+body responses) and a `pipe2` self-pipe per epoll
+//! instance (cross-thread posts interrupting a dispatcher's `epoll_wait`).
 
 #![allow(non_camel_case_types)]
 
@@ -30,7 +30,7 @@ pub(crate) type c_int = i32;
 #[derive(Clone, Copy)]
 pub(crate) struct epoll_event {
     pub events: u32,
-    /// User data; the reactor stores the registered file descriptor.
+    /// User data; the reactor packs a generation and the descriptor.
     pub u64: u64,
 }
 

@@ -3,14 +3,13 @@
 //! Everything above the substrate — dispatchers, task graphs, placement —
 //! speaks [`crate::Endpoint`] + [`crate::Poller`]. This module provides the
 //! second implementation of that contract (DESIGN.md §10): nonblocking
-//! `std::net` sockets whose kernel readiness transitions are translated
-//! into [`Poller::post`] calls by a per-poller [`OsReactor`] thread
-//! blocked in `epoll_wait` (bound via the direct syscall bindings in
+//! `std::net` sockets whose kernel readiness transitions land in the
+//! poller's queue when its waiter — the shard dispatcher — blocks in
+//! `epoll_wait` itself (bound via the direct syscall bindings in
 //! `crate::sys`; no new crates, per the offline shim policy of §7).
-//! Each shard's poller lazily owns its own reactor (DESIGN.md §13), so
-//! kernel event demultiplexing scales with the shard topology instead of
-//! funnelling every TCP byte through one process-wide thread; a reactor
-//! shuts down (via a self-pipe) when its poller is dropped.
+//! Each shard's poller lazily owns its own epoll instance, an
+//! [`OsReactor`] (DESIGN.md §13), so kernel event demultiplexing scales
+//! with the shard topology and costs no thread hop.
 //!
 //! The readiness contract matches the simulated sources exactly:
 //!
@@ -114,7 +113,7 @@ fn listen_reuseport(addr: SocketAddr) -> Result<std::net::TcpListener, NetError>
 // ---------------------------------------------------------------------------
 
 /// How many kernel events one `epoll_wait` call drains per pass. The
-/// batched-syscall contract (DESIGN.md §13): under load the reactor
+/// batched-syscall contract (DESIGN.md §13): under load the waiter
 /// amortizes one wait syscall over up to this many readiness transitions,
 /// and the whole batch is delivered with one poller lock acquisition per
 /// destination shard via [`crate::poller::wake_batch`].
@@ -174,27 +173,25 @@ impl FdSlots {
     }
 }
 
-/// A per-poller epoll reactor.
+/// A per-poller epoll instance.
 ///
-/// Each [`Poller`] — one per shard dispatcher — lazily spawns its own
-/// reactor thread blocked in `epoll_wait`, so kernel event demultiplexing
-/// shards with the runtime topology: a registration lives on the reactor
-/// of the poller that watches it and never moves off the owning shard
-/// (re-registering on a different shard's poller migrates it explicitly).
-/// `epoll_ctl` is safe to call concurrently with `epoll_wait`, so
-/// registration changes take effect immediately without waking the thread.
-///
-/// The reactor shuts down when its poller is dropped: the poller sets the
-/// flag and writes a byte into the self-pipe, the thread observes it on
-/// the next wakeup and exits, and the descriptors close when the last
-/// `Arc` (thread, poller, or a socket that registered here) goes away.
+/// Each [`Poller`] — one per shard dispatcher — lazily creates its own
+/// epoll set, so kernel event demultiplexing shards with the runtime
+/// topology: a registration lives on the instance of the poller that
+/// watches it and never moves off the owning shard (re-registering on a
+/// different shard's poller migrates it explicitly). There is no reactor
+/// thread: the poller's waiter calls [`OsReactor::harvest`] itself, and
+/// posts from other threads interrupt it through the self-pipe
+/// ([`OsReactor::poke`]). `epoll_ctl` is safe concurrently with
+/// `epoll_wait`, so registration changes take effect immediately. The
+/// descriptors close when the last `Arc` (the poller, or a socket that
+/// registered here) goes away.
 pub(crate) struct OsReactor {
     epfd: RawFd,
     /// Read end of the self-pipe, registered under [`WAKE_TOKEN`].
     wake_read: RawFd,
-    /// Write end of the self-pipe; [`OsReactor::initiate_shutdown`] pokes it.
+    /// Write end of the self-pipe; [`OsReactor::poke`] writes it.
     wake_write: RawFd,
-    shutdown: AtomicBool,
     registrations: Mutex<HashMap<RawFd, FdSlots>>,
     /// Source of registration generations (see [`FdSlots::gen`]); per
     /// reactor, because userdata only has to be unique within one epoll
@@ -203,76 +200,63 @@ pub(crate) struct OsReactor {
 }
 
 impl OsReactor {
-    /// Creates the epoll instance + self-pipe and spawns the event thread.
-    pub(crate) fn start() -> Arc<OsReactor> {
+    /// Creates the epoll instance and its self-pipe.
+    pub(crate) fn new() -> Arc<OsReactor> {
         let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         assert!(epfd >= 0, "epoll_create1 failed: errno {}", sys::errno());
         let mut pipe = [0 as sys::c_int; 2];
         let rc = unsafe { sys::pipe2(pipe.as_mut_ptr(), sys::O_NONBLOCK | sys::O_CLOEXEC) };
         assert!(rc == 0, "pipe2 failed: errno {}", sys::errno());
-        // Level-triggered on purpose: the wake byte must keep the thread
-        // spinning out of `epoll_wait` until it actually observes the
-        // shutdown flag, with no edge to miss.
+        // Level-triggered on purpose: a poke written before the waiter
+        // enters `epoll_wait` must still wake it, with no edge to miss.
         let mut event = sys::epoll_event {
             events: sys::EPOLLIN,
             u64: WAKE_TOKEN,
         };
         let rc = unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, pipe[0], &mut event) };
         assert!(rc == 0, "registering the wake pipe: errno {}", sys::errno());
-        let reactor = Arc::new(OsReactor {
+        Arc::new(OsReactor {
             epfd,
             wake_read: pipe[0],
             wake_write: pipe[1],
-            shutdown: AtomicBool::new(false),
             registrations: Mutex::new(HashMap::new()),
             next_gen: AtomicU64::new(1),
-        });
-        let runner = Arc::clone(&reactor);
-        std::thread::Builder::new()
-            .name("flick-os-reactor".into())
-            .spawn(move || runner.run())
-            .expect("spawning an OS reactor thread");
-        reactor
+        })
     }
 
-    /// Asks the event thread to exit (called when the owning poller
-    /// drops). Idempotent; the thread drops its `Arc` on the way out.
-    pub(crate) fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+    /// Interrupts a concurrent [`OsReactor::harvest`] blocked in
+    /// `epoll_wait` (or the next one).
+    pub(crate) fn poke(&self) {
         let byte = 1u8;
+        // SAFETY: `wake_write` stays open until `self` drops, and the
+        // buffer is one live byte. A full pipe (EAGAIN) is already readable.
         unsafe { sys::write(self.wake_write, &byte, 1) };
     }
 
-    /// Translates kernel events into poller posts until shut down.
-    fn run(&self) {
+    /// One `epoll_wait` of up to `millis` ms on the calling thread,
+    /// resolved into the wakes the caller delivers with
+    /// [`crate::poller::wake_batch`]. `EINTR` yields no wakes and leaves
+    /// the deadline to the caller.
+    pub(crate) fn harvest(&self, millis: sys::c_int) -> Vec<(WakerSlot, Readiness)> {
         let mut events = [sys::epoll_event { events: 0, u64: 0 }; MAX_EVENTS];
-        loop {
-            let n = unsafe {
-                sys::epoll_wait(self.epfd, events.as_mut_ptr(), MAX_EVENTS as sys::c_int, -1)
-            };
-            if n < 0 {
-                if sys::errno() == sys::EINTR {
-                    continue;
-                }
-                // The epoll fd itself failed; nothing sensible to do but
-                // stop translating (the process is likely tearing down).
-                return;
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let batch = &events[..n as usize];
-            if batch.iter().any(|e| {
-                let user = e.u64;
-                user == WAKE_TOKEN
-            }) {
-                self.drain_wake_pipe();
-            }
-            // One batch, one delivery: `wake_batch` takes each destination
-            // poller's lock once for the whole batch instead of once per
-            // event, which is where the per-shard fan-out wins under load.
-            crate::poller::wake_batch(self.resolve_batch(batch));
+        // SAFETY: `epfd` stays open until `self` drops, and the kernel
+        // writes at most `MAX_EVENTS` entries into `events`.
+        let n = unsafe {
+            sys::epoll_wait(
+                self.epfd,
+                events.as_mut_ptr(),
+                MAX_EVENTS as sys::c_int,
+                millis,
+            )
+        };
+        let batch = &events[..n.max(0) as usize];
+        if batch.iter().any(|e| {
+            let user = e.u64;
+            user == WAKE_TOKEN
+        }) {
+            self.drain_wake_pipe();
         }
+        self.resolve_batch(batch)
     }
 
     fn drain_wake_pipe(&self) {
@@ -375,26 +359,8 @@ impl OsReactor {
         );
     }
 
-    /// Removes the direction(s) in `interest` of `fd`'s registration when
-    /// they post into `poller`; drops the epoll entry once no direction is
-    /// left.
-    fn deregister(&self, fd: RawFd, poller: &Poller, interest: Interest) {
-        let mut registrations = self.registrations.lock();
-        let Some(slots) = registrations.get_mut(&fd) else {
-            return;
-        };
-        if interest.is_readable() && slots.read.as_ref().is_some_and(|s| s.belongs_to(poller)) {
-            slots.read = None;
-        }
-        if interest.is_writable() && slots.write.as_ref().is_some_and(|s| s.belongs_to(poller)) {
-            slots.write = None;
-        }
-        Self::apply_slots(self.epfd, &mut registrations, fd);
-    }
-
-    /// Removes the direction(s) in `interest` unconditionally — used when
-    /// a socket migrates to another shard's reactor and the old poller
-    /// handle is gone.
+    /// Removes the direction(s) in `interest` of `fd`'s registration;
+    /// drops the epoll entry once no direction is left.
     fn forget_interest(&self, fd: RawFd, interest: Interest) {
         let mut registrations = self.registrations.lock();
         let Some(slots) = registrations.get_mut(&fd) else {
@@ -464,45 +430,55 @@ struct ReactorSlots {
 }
 
 impl ReactorSlots {
-    /// Replaces the tracked reactor for the direction(s) in `interest`
-    /// with `new`, forgetting that direction from any different old one.
-    fn migrate(&mut self, fd: RawFd, interest: Interest, new: &Arc<OsReactor>) {
-        if interest.is_readable() {
-            if let Some(old) = self.read.replace(Arc::clone(new)) {
-                if !Arc::ptr_eq(&old, new) {
-                    old.forget_interest(fd, Interest::READABLE);
+    /// Registers the direction(s) in `interest` of `fd` on `poller`'s
+    /// reactor. A cross-shard handoff re-registers on a different
+    /// reactor: the direction is forgotten on the old one first, so a
+    /// socket is never watched twice.
+    fn register(&mut self, fd: RawFd, poller: &Poller, token: Token, interest: Interest) {
+        let new = poller.os_reactor();
+        for (wanted, slot, side) in [
+            (interest.is_readable(), &mut self.read, Interest::READABLE),
+            (interest.is_writable(), &mut self.write, Interest::WRITABLE),
+        ] {
+            if !wanted {
+                continue;
+            }
+            if let Some(old) = slot.replace(Arc::clone(&new)) {
+                if !Arc::ptr_eq(&old, &new) {
+                    old.forget_interest(fd, side);
                 }
             }
         }
-        if interest.is_writable() {
-            if let Some(old) = self.write.replace(Arc::clone(new)) {
-                if !Arc::ptr_eq(&old, new) {
-                    old.forget_interest(fd, Interest::WRITABLE);
-                }
+        new.register(fd, poller, token, interest);
+    }
+
+    /// Removes the direction(s) in `interest` of `fd` from `poller`'s
+    /// reactor; a direction registered on another shard is left alone.
+    fn deregister(&mut self, fd: RawFd, poller: &Poller, interest: Interest) {
+        let reactor = poller.os_reactor();
+        for (wanted, slot, side) in [
+            (interest.is_readable(), &mut self.read, Interest::READABLE),
+            (interest.is_writable(), &mut self.write, Interest::WRITABLE),
+        ] {
+            if wanted && slot.as_ref().is_some_and(|r| Arc::ptr_eq(r, &reactor)) {
+                *slot = None;
+                reactor.forget_interest(fd, side);
             }
         }
     }
 
-    /// Clears the direction(s) in `interest` when they point at `reactor`.
-    fn clear(&mut self, interest: Interest, reactor: &Arc<OsReactor>) {
-        if interest.is_readable() && self.read.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
-            self.read = None;
+    /// Forgets `fd` on every reactor still holding a registration (for
+    /// teardown: once per reactor, not once per direction).
+    fn forget(&mut self, fd: RawFd) {
+        let read = self.read.take();
+        if let Some(reactor) = &read {
+            reactor.forget(fd);
         }
-        if interest.is_writable() && self.write.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
-            self.write = None;
-        }
-    }
-
-    /// Takes the distinct reactors still holding a registration (for
-    /// teardown: forget once per reactor, not once per direction).
-    fn take_distinct(&mut self) -> Vec<Arc<OsReactor>> {
-        let mut out: Vec<Arc<OsReactor>> = Vec::new();
-        for slot in [self.read.take(), self.write.take()].into_iter().flatten() {
-            if !out.iter().any(|r| Arc::ptr_eq(r, &slot)) {
-                out.push(slot);
+        if let Some(reactor) = self.write.take() {
+            if !read.is_some_and(|r| Arc::ptr_eq(&r, &reactor)) {
+                reactor.forget(fd);
             }
         }
-        out
     }
 }
 
@@ -601,7 +577,7 @@ impl TcpStack {
                 local_addr,
                 closed: AtomicBool::new(false),
                 stack: Arc::clone(self),
-                reactor: Mutex::new(None),
+                reactors: Mutex::new(ReactorSlots::default()),
             }),
         })
     }
@@ -655,9 +631,8 @@ struct TcpListenerInner {
     local_addr: SocketAddr,
     closed: AtomicBool,
     stack: Arc<TcpStack>,
-    /// The shard reactor currently watching this listener (accept
-    /// readiness is a single direction, so one slot suffices).
-    reactor: Mutex<Option<Arc<OsReactor>>>,
+    /// The shard reactor watching this listener (readable side only).
+    reactors: Mutex<ReactorSlots>,
 }
 
 /// A listening OS socket, API-compatible with [`crate::SimListener`].
@@ -746,16 +721,10 @@ impl TcpListener {
     /// of the call via a synthetic post (spurious events are allowed).
     pub fn register(&self, poller: &Poller, token: Token) {
         if let Some(fd) = self.raw_fd() {
-            let reactor = poller.os_reactor();
-            {
-                let mut tracked = self.inner.reactor.lock();
-                if let Some(old) = tracked.replace(Arc::clone(&reactor)) {
-                    if !Arc::ptr_eq(&old, &reactor) {
-                        old.forget_interest(fd, Interest::READABLE);
-                    }
-                }
-            }
-            reactor.register(fd, poller, token, Interest::READABLE);
+            self.inner
+                .reactors
+                .lock()
+                .register(fd, poller, token, Interest::READABLE);
             poller.post(token, Readiness::readable());
         } else {
             poller.post(token, Readiness::readable().with_closed());
@@ -765,12 +734,10 @@ impl TcpListener {
     /// Removes this listener's registration in `poller`, if any.
     pub fn deregister(&self, poller: &Poller) {
         if let Some(fd) = self.raw_fd() {
-            let reactor = poller.os_reactor();
-            reactor.deregister(fd, poller, Interest::READABLE);
-            let mut tracked = self.inner.reactor.lock();
-            if tracked.as_ref().is_some_and(|r| Arc::ptr_eq(r, &reactor)) {
-                *tracked = None;
-            }
+            self.inner
+                .reactors
+                .lock()
+                .deregister(fd, poller, Interest::READABLE);
         }
     }
 
@@ -780,9 +747,7 @@ impl TcpListener {
         self.inner.closed.store(true, Ordering::Release);
         let socket = self.inner.socket.lock().take();
         if let Some(socket) = socket {
-            if let Some(reactor) = self.inner.reactor.lock().take() {
-                reactor.forget(socket.as_raw_fd());
-            }
+            self.inner.reactors.lock().forget(socket.as_raw_fd());
         }
     }
 
@@ -795,9 +760,7 @@ impl TcpListener {
 impl Drop for TcpListenerInner {
     fn drop(&mut self) {
         if let Some(socket) = self.socket.get_mut().take() {
-            if let Some(reactor) = self.reactor.get_mut().take() {
-                reactor.forget(socket.as_raw_fd());
-            }
+            self.reactors.get_mut().forget(socket.as_raw_fd());
         }
     }
 }
@@ -818,10 +781,7 @@ struct TcpConnInner {
 
 impl Drop for TcpConnInner {
     fn drop(&mut self) {
-        let fd = self.stream.as_raw_fd();
-        for reactor in self.reactors.get_mut().take_distinct() {
-            reactor.forget(fd);
-        }
+        self.reactors.get_mut().forget(self.stream.as_raw_fd());
     }
 }
 
@@ -861,49 +821,13 @@ impl TcpConn {
     }
 
     pub(crate) fn write(&self, data: &[u8]) -> Result<usize, NetError> {
-        if data.is_empty() {
-            return Ok(0);
-        }
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(NetError::Closed);
-        }
-        // The kernel's appetite is unknowable up front (unlike the sim
-        // pipes, which check free space under the pipe lock), so acquire
-        // link budget for the attempt and refund whatever the socket does
-        // not take — a full send buffer must not burn tokens.
-        let wanted = match &self.rate {
-            Some(bucket) => bucket.try_acquire(data.len()),
-            None => data.len(),
-        };
-        if wanted == 0 {
-            return Err(NetError::WouldBlock);
-        }
-        let refund = |sent: usize| {
-            if let Some(bucket) = &self.rate {
-                if sent < wanted {
-                    bucket.refund(wanted - sent);
-                }
-            }
-        };
-        loop {
+        self.send_budgeted(data.len(), |wanted| {
             match (&self.inner.stream).write(&data[..wanted]) {
-                Ok(0) => {
-                    refund(0);
-                    return Err(NetError::Closed);
-                }
-                Ok(n) => {
-                    refund(n);
-                    StackCosts::charge(self.inner.costs.io_cost(true, n));
-                    self.inner.stats.record_write(n);
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    refund(0);
-                    return Err(map_io(e));
-                }
+                Ok(0) => Err(NetError::Closed),
+                Ok(n) => Ok(n),
+                Err(e) => Err(map_io(e)),
             }
-        }
+        })
     }
 
     /// Writes the segments in `bufs` with one `writev(2)` call — a
@@ -911,69 +835,75 @@ impl TcpConn {
     /// concatenating into a staging buffer, preserving the zero-copy laws
     /// (the body `Bytes` is handed to the kernel where it sits). Same
     /// contract as [`TcpConn::write`]: returns the bytes the kernel took
-    /// (possibly a prefix), rate budget is acquired up front and refunded
-    /// for whatever the socket refuses.
+    /// (possibly a prefix).
     pub(crate) fn write_vectored(&self, bufs: &[&[u8]]) -> Result<usize, NetError> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        if total == 0 {
+        let total = bufs.iter().map(|b| b.len()).sum();
+        self.send_budgeted(total, |wanted| {
+            // Truncate the segment list to the acquired budget so a tight
+            // bucket still sends a prefix, as the scalar path does.
+            let mut budget = wanted;
+            let iov: Vec<sys::iovec> = bufs
+                .iter()
+                .filter_map(|buf| {
+                    let take = buf.len().min(budget);
+                    budget -= take;
+                    (take > 0).then_some(sys::iovec {
+                        iov_base: buf.as_ptr(),
+                        iov_len: take,
+                    })
+                })
+                .collect();
+            // SAFETY: every iovec points into a live slice of `bufs` and
+            // is no longer than it.
+            match unsafe { sys::writev(self.fd(), iov.as_ptr(), iov.len() as sys::c_int) } {
+                0 => Err(NetError::Closed),
+                n if n > 0 => {
+                    self.inner.stats.record_vectored(iov.len());
+                    Ok(n as usize)
+                }
+                _ => Err(last_os_error()),
+            }
+        })
+    }
+
+    /// Runs one send of up to `len` bytes through the link budget. The
+    /// kernel's appetite is unknowable up front (unlike the sim pipes,
+    /// which check free space under the pipe lock), so `send` gets the
+    /// acquired budget and whatever the socket does not take is refunded
+    /// — a full send buffer must not burn tokens. `EINTR` retries.
+    fn send_budgeted(
+        &self,
+        len: usize,
+        send: impl Fn(usize) -> Result<usize, NetError>,
+    ) -> Result<usize, NetError> {
+        if len == 0 {
             return Ok(0);
         }
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(NetError::Closed);
         }
         let wanted = match &self.rate {
-            Some(bucket) => bucket.try_acquire(total),
-            None => total,
+            Some(bucket) => bucket.try_acquire(len),
+            None => len,
         };
         if wanted == 0 {
             return Err(NetError::WouldBlock);
         }
-        // Truncate the segment list to the acquired budget so a tight
-        // bucket still sends a prefix, as the scalar path does.
-        let mut iov: Vec<sys::iovec> = Vec::with_capacity(bufs.len());
-        let mut budget = wanted;
-        for buf in bufs {
-            let take = buf.len().min(budget);
-            if take > 0 {
-                iov.push(sys::iovec {
-                    iov_base: buf.as_ptr(),
-                    iov_len: take,
-                });
-                budget -= take;
-            }
-            if budget == 0 {
-                break;
-            }
-        }
-        let refund = |sent: usize| {
-            if let Some(bucket) = &self.rate {
-                if sent < wanted {
-                    bucket.refund(wanted - sent);
-                }
+        let result = loop {
+            match send(wanted) {
+                Err(NetError::Io(std::io::ErrorKind::Interrupted)) => continue,
+                other => break other,
             }
         };
-        loop {
-            let rc = unsafe { sys::writev(self.fd(), iov.as_ptr(), iov.len() as sys::c_int) };
-            if rc > 0 {
-                let n = rc as usize;
-                refund(n);
-                StackCosts::charge(self.inner.costs.io_cost(true, n));
-                self.inner.stats.record_write(n);
-                self.inner.stats.record_vectored(iov.len());
-                return Ok(n);
-            }
-            if rc == 0 {
-                refund(0);
-                return Err(NetError::Closed);
-            }
-            match sys::errno() {
-                sys::EINTR => continue,
-                _ => {
-                    refund(0);
-                    return Err(last_os_error());
-                }
-            }
+        let sent = *result.as_ref().unwrap_or(&0);
+        if let Some(bucket) = self.rate.as_ref().filter(|_| sent < wanted) {
+            bucket.refund(wanted - sent);
         }
+        if sent > 0 {
+            StackCosts::charge(self.inner.costs.io_cost(true, sent));
+            self.inner.stats.record_write(sent);
+        }
+        result
     }
 
     pub(crate) fn write_all(&self, mut data: &[u8]) -> Result<(), NetError> {
@@ -1099,15 +1029,10 @@ impl TcpConn {
     }
 
     pub(crate) fn register(&self, poller: &Poller, token: Token, interest: Interest) {
-        let reactor = poller.os_reactor();
-        // A cross-shard handoff re-registers on the new shard's poller —
-        // and therefore a different reactor: move the direction(s) off the
-        // old reactor first so a socket is never watched twice.
         self.inner
             .reactors
             .lock()
-            .migrate(self.fd(), interest, &reactor);
-        reactor.register(self.fd(), poller, token, interest);
+            .register(self.fd(), poller, token, interest);
         // Level-triggered at registration: post the current state so bytes
         // that arrived before (or during) the registration — e.g. across a
         // cross-shard handoff — are observed. Writable interest is posted
@@ -1128,9 +1053,10 @@ impl TcpConn {
     }
 
     pub(crate) fn deregister_interest(&self, poller: &Poller, interest: Interest) {
-        let reactor = poller.os_reactor();
-        reactor.deregister(self.fd(), poller, interest);
-        self.inner.reactors.lock().clear(interest, &reactor);
+        self.inner
+            .reactors
+            .lock()
+            .deregister(self.fd(), poller, interest);
     }
 
     pub(crate) fn close(&self) {
@@ -1141,9 +1067,7 @@ impl TcpConn {
         // Forget *before* shutdown/close: removing the registration entry
         // first is what arms the stale-generation guard against an
         // in-flight epoll batch racing the fd recycle.
-        for reactor in self.inner.reactors.lock().take_distinct() {
-            reactor.forget(self.fd());
-        }
+        self.inner.reactors.lock().forget(self.fd());
         let _ = self.inner.stream.shutdown(std::net::Shutdown::Both);
         self.inner.stats.record_close();
     }
@@ -1392,23 +1316,24 @@ mod tests {
         assert_eq!(snap.vectored_segments, 2);
     }
 
-    /// Dropping a poller shuts its reactor down: the event thread exits
-    /// and later batches stop arriving, while sockets registered there
-    /// keep working through plain reads.
+    /// Dropping a poller stops its reactor: with no thread to hold it, the
+    /// epoll instance and self-pipe close with the last `Arc`, while
+    /// sockets registered there keep working through plain reads.
     #[test]
     fn dropping_the_poller_stops_its_reactor() {
         let stack = stack();
         let (_listener, client, server) = pair(&stack);
         let poller = Poller::new();
         server.register(&poller, Token(3), Interest::READABLE);
-        let reactor = poller.os_reactor();
-        // Deregistering drops the reactor's waker back-reference, so the
-        // poller's drop below is the last one and triggers the shutdown.
+        let reactor = Arc::downgrade(&poller.os_reactor());
+        // Deregistering drops the socket's handle on the reactor, so the
+        // poller's drop below releases the last one.
         server.deregister(&poller);
         drop(poller);
-        // The shutdown flag is set synchronously by the poller's drop.
-        assert!(reactor.shutdown.load(Ordering::Acquire));
-        // The socket itself is still alive and readable directly.
+        assert!(
+            reactor.upgrade().is_none(),
+            "epoll instance outlived its poller"
+        );
         client.write_all(b"still here").unwrap();
         let mut buf = [0u8; 16];
         let n = server

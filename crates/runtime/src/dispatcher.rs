@@ -7,7 +7,8 @@
 //! refactor both run on **one dispatcher thread per shard** (not per
 //! service): a shard's dispatcher multiplexes every service homed on it
 //! plus every graph placed on it, and blocks on the shard's
-//! [`Poller`] — one reactor per shard.
+//! [`Poller`] — one reactor per shard, whose kernel readiness the
+//! dispatcher thread collects in `epoll_wait` itself.
 //!
 //! Graphs are *placed*: when a service's home shard has accepted enough
 //! connections for a graph instance, the platform's

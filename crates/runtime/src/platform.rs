@@ -387,9 +387,10 @@ impl Platform {
         self.set.len()
     }
 
-    /// Per-shard status: graphs built, scheduler load and steal counters.
-    /// One entry per shard, in shard order — the source of the fig5
-    /// per-shard utilization table.
+    /// Per-shard status: graphs built, scheduler load and steal counters,
+    /// and the dispatcher's epoll wait and cross-thread poke counts. One
+    /// entry per shard, in shard order — the source of the fig5 per-shard
+    /// utilization table.
     pub fn shard_status(&self) -> Vec<ShardStatus> {
         self.set
             .shards()
@@ -398,6 +399,8 @@ impl Platform {
                 shard: shard.id(),
                 graphs_built: shard.graphs_built(),
                 load: shard.scheduler().load(),
+                epoll_waits: shard.poller().epoll_waits(),
+                cross_thread_pokes: shard.poller().cross_thread_pokes(),
             })
             .collect()
     }

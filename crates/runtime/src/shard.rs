@@ -222,6 +222,12 @@ pub struct ShardStatus {
     pub graphs_built: u64,
     /// The shard scheduler's load counters.
     pub load: ShardLoad,
+    /// `epoll_wait` calls the shard dispatcher made (0 for a shard that
+    /// never registered a kernel socket).
+    pub epoll_waits: u64,
+    /// Self-pipe writes other threads made to interrupt the dispatcher's
+    /// `epoll_wait` — the cross-thread hops kernel readiness avoids.
+    pub cross_thread_pokes: u64,
 }
 
 /// All shards of one platform, plus the placement policy that distributes

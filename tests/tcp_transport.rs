@@ -13,20 +13,25 @@
 //! * partial reads/writes: bodies far larger than a socket buffer;
 //! * EOF teardown driven by `watch_exit` task-exit events;
 //! * a real-socket port of the `stress_no_lost_wakeups` poller stress and
-//!   of the cross-poller registration handoff stress.
+//!   of the cross-poller registration handoff stress;
+//! * the dispatcher-driven `epoll_wait` (DESIGN.md §3): no reactor thread,
+//!   no self-pipe poke per keep-alive request, no lost cross-thread post,
+//!   no kernel event starved behind posts, no fd outliving its platform.
 
-use flick::net_substrate::{Interest, NetError, Poller, StackModel, TcpStack, Token};
+use flick::net_substrate::{Interest, NetError, Poller, Readiness, StackModel, TcpStack, Token};
 use flick::services::http::{HttpLoadBalancerFactory, StaticWebServerFactory};
 use flick::{Platform, PlatformConfig, ServiceSpec};
 use flick_workload::backends::start_tcp_http_backend;
 use flick_workload::tcp::{fetch_http, run_tcp_http_load, TcpHttpLoadConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn tcp_platform(workers: usize, shards: usize) -> Platform {
     // CI runs the whole suite a second time with FLICK_TEST_SHARDS=2 so
-    // every test also exercises the sharded kernel path (one reactor and
+    // every test also exercises the sharded kernel path (one epoll set and
     // one SO_REUSEPORT accept socket per shard) without a second copy of
     // the test file. Tests must therefore derive shard-dependent
     // assertions from `Platform::shard_count`, not their requested value.
@@ -771,4 +776,266 @@ fn handoff_between_pollers_loses_no_wakeups_over_tcp() {
     writer.join().unwrap();
     assert_eq!(received, TOTAL);
     assert!(handoffs >= 2, "the stream must survive several handoffs");
+}
+
+/// Sends `count` keep-alive GETs down one connection, one at a time, and
+/// waits for each response to end with `body`.
+fn keep_alive_round_trips(addr: &str, count: usize, body: &[u8]) {
+    let mut stream = TcpStream::connect(addr).expect("kernel connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = [0u8; 4096];
+    for i in 0..count {
+        stream
+            .write_all(format!("GET /{i} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+            .unwrap();
+        let mut response = Vec::new();
+        while !response.ends_with(body) {
+            let n = stream.read(&mut buf).expect("read response");
+            assert!(n > 0, "server closed mid-response on request {i}");
+            response.extend_from_slice(&buf[..n]);
+        }
+    }
+}
+
+/// Kernel readiness reaches the dispatcher without a thread hop: the
+/// shard dispatcher blocks in `epoll_wait` itself, so keep-alive traffic
+/// through the TCP balancer makes (almost) no self-pipe pokes — only
+/// posts from other threads (graph handoffs, task exits) ever write one.
+#[test]
+fn keep_alive_traffic_reaches_the_dispatcher_without_pokes() {
+    const REQUESTS: usize = 2000;
+    let backend = start_tcp_http_backend(b"poke-free");
+    let platform = tcp_platform(1, 1);
+    let service = platform
+        .deploy_tcp(
+            ServiceSpec::new("tcp-lb-pokes", 0, HttpLoadBalancerFactory::new())
+                .with_tcp_backends(vec![backend.addr().to_string()]),
+            "127.0.0.1:0",
+        )
+        .expect("deploy the TCP balancer");
+    let addr = format!("127.0.0.1:{}", service.port());
+    keep_alive_round_trips(&addr, 1, b"poke-free"); // Graph built, warm.
+
+    let counters = |platform: &Platform| {
+        let status = platform.shard_status();
+        let waits: u64 = status.iter().map(|s| s.epoll_waits).sum();
+        let pokes: u64 = status.iter().map(|s| s.cross_thread_pokes).sum();
+        (waits, pokes)
+    };
+    let (waits_before, pokes_before) = counters(&platform);
+    keep_alive_round_trips(&addr, REQUESTS, b"poke-free");
+    let (waits_after, pokes_after) = counters(&platform);
+
+    assert!(
+        waits_after - waits_before >= REQUESTS as u64,
+        "the dispatcher must collect kernel readiness in epoll_wait itself"
+    );
+    let pokes_per_request = (pokes_after - pokes_before) as f64 / REQUESTS as f64;
+    assert!(
+        pokes_per_request < 0.05,
+        "{pokes_per_request:.3} cross-thread pokes per request: kernel \
+         readiness took a thread hop to reach the dispatcher"
+    );
+}
+
+/// No reactor thread exists anywhere: a 2-shard TCP deployment serves a
+/// request with only dispatcher and worker threads.
+#[test]
+fn two_shard_tcp_deploy_runs_no_reactor_threads() {
+    let platform = Platform::new(PlatformConfig {
+        workers: 2,
+        shards: 2,
+        ..Default::default()
+    });
+    let service = deploy_web(&platform, b"no reactor threads");
+    let addr = format!("127.0.0.1:{}", service.port());
+    let response = fetch_http(&addr, "/", Duration::from_secs(5)).expect("fetch");
+    assert!(String::from_utf8_lossy(&response).starts_with("HTTP/1.1 200 OK"));
+
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .collect();
+    assert!(
+        names.iter().any(|name| name.starts_with("flick-dispatch")),
+        "thread scan found no dispatcher: {names:?}"
+    );
+    assert!(
+        !names.iter().any(|name| name.starts_with("flick-os-react")),
+        "a reactor thread is running: {names:?}"
+    );
+}
+
+/// Epoll instances and self-pipes open in this process.
+fn epoll_and_pipe_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("procfs")
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| {
+            let target = target.to_string_lossy();
+            target == "anon_inode:[eventpoll]" || target.starts_with("pipe:")
+        })
+        .count()
+}
+
+/// Dropping the platform closes every epoll fd and pipe fd it opened.
+/// Other tests open their own in parallel, so the census runs in a fresh
+/// process: this test re-executes the test binary on the ignored
+/// `fd_census_in_a_fresh_process` alone.
+#[test]
+fn dropping_the_platform_closes_its_epoll_and_pipe_fds() {
+    let output = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "fd_census_in_a_fresh_process",
+            "--exact",
+            "--ignored",
+            "--test-threads=1",
+        ])
+        .output()
+        .expect("re-run the test binary");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success() && stdout.contains("1 passed"),
+        "fd census failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+}
+
+#[test]
+#[ignore = "run in its own process by dropping_the_platform_closes_its_epoll_and_pipe_fds"]
+fn fd_census_in_a_fresh_process() {
+    let baseline = epoll_and_pipe_fds();
+    let platform = tcp_platform(2, 2);
+    let service = deploy_web(&platform, b"census");
+    let addr = format!("127.0.0.1:{}", service.port());
+    keep_alive_round_trips(&addr, 3, b"census");
+    let opened = epoll_and_pipe_fds() - baseline;
+    assert!(
+        opened >= 3 * platform.shard_count(),
+        "expected an epoll fd and a pipe pair per shard, saw {opened} fds"
+    );
+    drop(service);
+    drop(platform);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while epoll_and_pipe_fds() > baseline {
+        assert!(
+            Instant::now() < deadline,
+            "{} epoll/pipe fds outlived the platform",
+            epoll_and_pipe_fds() - baseline
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Epoll-path port of the poller's `stress_no_lost_wakeups`: a TCP
+/// registration puts the waiter into `epoll_wait`, and a second thread
+/// posts 100k tokens one at a time, each only after the previous one was
+/// consumed, so most posts land while the waiter is blocked in the
+/// kernel. A lost self-pipe poke leaves the waiter asleep for its whole
+/// 10 s timeout.
+#[test]
+fn cross_thread_posts_interrupt_epoll_wait_without_loss() {
+    const POSTS: u64 = 100_000;
+    const KERNEL: Token = Token(u64::MAX);
+
+    let stack = TcpStack::new(StackModel::Free);
+    let listener = stack.listen("127.0.0.1:0").unwrap();
+    let poller = Poller::new();
+    listener.register(&poller, KERNEL);
+    let consumed = Arc::new(AtomicU64::new(0));
+    let producer = {
+        let poller = poller.clone();
+        let consumed = Arc::clone(&consumed);
+        std::thread::spawn(move || {
+            for i in 0..POSTS {
+                while consumed.load(Ordering::Acquire) < i {
+                    std::thread::yield_now();
+                }
+                poller.post(Token(i), Readiness::readable());
+            }
+        })
+    };
+
+    let mut next = 0u64;
+    while next < POSTS {
+        let started = Instant::now();
+        let events = poller.wait(Duration::from_secs(10));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "lost wakeup: the waiter slept through post {next}"
+        );
+        for event in events.iter().filter(|e| e.token != KERNEL) {
+            assert_eq!(event.token, Token(next), "posts must arrive in order");
+            next += 1;
+            consumed.store(next, Ordering::Release);
+        }
+    }
+    producer.join().unwrap();
+    assert!(
+        poller.epoll_waits() > 0,
+        "the waiter never entered epoll_wait"
+    );
+    assert!(
+        poller.cross_thread_pokes() > 0,
+        "no post ever found the waiter blocked in epoll_wait"
+    );
+}
+
+/// Kernel events cannot starve behind posts: another thread posts before
+/// every wait (each wait first asks it for a post and waits for the ack),
+/// so the posted queue is never empty when the waiter arrives, and each
+/// wait must still harvest the epoll set and deliver the socket's
+/// readable event.
+#[test]
+fn kernel_events_are_delivered_while_posts_keep_the_queue_busy() {
+    let stack = TcpStack::new(StackModel::Free);
+    let listener = stack.listen("127.0.0.1:0").unwrap();
+    let client = stack
+        .connect(&format!("127.0.0.1:{}", listener.port()))
+        .unwrap();
+    let server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+    let poller = Poller::new();
+    server.register(&poller, Token(1), Interest::READABLE);
+    let _ = poller.wait(Duration::from_millis(50)); // Synthetic level-trigger.
+
+    let (ask, asked) = std::sync::mpsc::channel::<()>();
+    let (ack, acked) = std::sync::mpsc::channel::<()>();
+    let spammer = {
+        let poller = poller.clone();
+        std::thread::spawn(move || {
+            while asked.recv().is_ok() {
+                poller.post(Token(2), Readiness::readable());
+                ack.send(()).unwrap();
+            }
+        })
+    };
+    client.write_all(b"kernel bytes").unwrap();
+    let mut busy_waits = 0u64;
+    let delivered = loop {
+        ask.send(()).unwrap();
+        acked.recv().unwrap();
+        let events = poller.wait(Duration::from_millis(100));
+        assert!(events.iter().any(|e| e.token == Token(2)));
+        if events
+            .iter()
+            .any(|e| e.token == Token(1) && e.readiness.readable)
+        {
+            break true;
+        }
+        busy_waits += 1;
+        if busy_waits == 10_000 {
+            break false;
+        }
+    };
+    drop(ask);
+    spammer.join().unwrap();
+    assert!(
+        delivered,
+        "kernel readable event starved behind {busy_waits} busy waits"
+    );
+    let mut buf = [0u8; 32];
+    assert_eq!(server.read(&mut buf), Ok(12));
 }

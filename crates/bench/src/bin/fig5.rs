@@ -12,11 +12,12 @@
 //!   pre-sharding single-reactor runtime). With `N > 1` the platform runs
 //!   one scheduler pool + dispatcher + poller per shard, places graphs
 //!   round-robin and steals across shards.
-//! * `--backend=poll|event` — dispatcher backend for the FLICK systems
-//!   (default: event). Run once with each to ablate the dispatcher.
-//! * `--no-ablation` — skip the dispatcher-backend idle-connection
-//!   ablation and the sharding-on/off ablation tables printed after the
-//!   main figure.
+//! * `--no-ablation` — skip the idle-connection table and the
+//!   sharding-on/off ablation table printed after the main figure.
+//!
+//! The idle-connection table measures the active clients' req/s while
+//! most connections sit idle: the event dispatcher pays nothing for the
+//! idle ones.
 //!
 //! The sharding ablation reports **per-shard** utilization (each shard's
 //! share of task executions) rather than a single aggregate, so placement
@@ -24,23 +25,13 @@
 //! in the table.
 
 use flick_bench::{
-    print_table, run_dispatcher_backend_ablation, run_memcached_experiment, run_sharding_ablation,
+    print_table, run_idle_connections_series, run_memcached_experiment, run_sharding_ablation,
     MemcachedExperiment, MemcachedSystem, Row,
 };
-use flick_runtime::DispatcherBackend;
 use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let backend = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--backend="))
-        .map(|value| match value {
-            "poll" => DispatcherBackend::Poll,
-            "event" => DispatcherBackend::Event,
-            other => panic!("unknown dispatcher backend {other:?} (poll|event)"),
-        })
-        .unwrap_or_default();
     let shards: usize = args
         .iter()
         .find_map(|a| a.strip_prefix("--shards="))
@@ -56,7 +47,6 @@ fn main() {
                 clients: 48,
                 backends: 4,
                 duration: Duration::from_millis(700),
-                dispatcher: backend,
             };
             let stats = run_memcached_experiment(system, &params);
             rows.push(Row::new(
@@ -75,8 +65,7 @@ fn main() {
     }
     print_table(
         &format!(
-            "Memcached proxy vs CPU cores — Figure 5a/5b ({} dispatcher, {} shard{})",
-            backend.label(),
+            "Memcached proxy vs CPU cores — Figure 5a/5b ({} shard{})",
             shards,
             if shards == 1 { "" } else { "s" }
         ),
@@ -84,11 +73,8 @@ fn main() {
     );
 
     if !args.iter().any(|a| a == "--no-ablation") {
-        let rows = run_dispatcher_backend_ablation(&[64, 256], Duration::from_millis(400));
-        print_table(
-            "Dispatcher backend ablation — mostly-idle connections",
-            &rows,
-        );
+        let rows = run_idle_connections_series(&[64, 256], Duration::from_millis(400));
+        print_table("Event dispatcher — mostly-idle connections", &rows);
         let rows = run_sharding_ablation(&[1, 2, 4], Duration::from_millis(400));
         print_table(
             "Sharding ablation — aggregate req/s + per-shard utilization",

@@ -22,13 +22,8 @@ pub struct NetStats {
     pub read_calls: AtomicU64,
     /// Write calls issued.
     pub write_calls: AtomicU64,
-    /// `Endpoint::readable` checks issued. The poll-mode dispatcher pays
-    /// one per watched connection per tick; the event-driven dispatcher
-    /// pays none, which is what the idle-service tests assert.
-    pub readable_polls: AtomicU64,
-    /// `Endpoint::writable` checks issued (the write-side counterpart of
-    /// `readable_polls`: the poll-mode dispatcher scans them, the event
-    /// backend relies on writable-interest registrations instead).
+    /// `Endpoint::writable` checks issued: output tasks ask once per
+    /// blocked flush, to tell a full peer buffer from a rate-limiter stall.
     pub writable_polls: AtomicU64,
     /// Vectored (`writev`-style) write calls: writes that handed the
     /// substrate more than one segment in one call — the batched-syscall
@@ -79,11 +74,6 @@ impl NetStats {
     pub fn record_read(&self, n: usize) {
         self.read_calls.fetch_add(1, Ordering::Relaxed);
         self.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Records one `Endpoint::readable` poll.
-    pub fn record_readable_poll(&self) {
-        self.readable_polls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one `Endpoint::writable` poll.
@@ -139,7 +129,6 @@ impl NetStats {
             bytes_received,
             read_calls: self.read_calls.load(Ordering::Relaxed),
             write_calls: self.write_calls.load(Ordering::Relaxed),
-            readable_polls: self.readable_polls.load(Ordering::Relaxed),
             writable_polls: self.writable_polls.load(Ordering::Relaxed),
             vectored_writes: self.vectored_writes.load(Ordering::Relaxed),
             vectored_segments: self.vectored_segments.load(Ordering::Relaxed),
@@ -164,8 +153,6 @@ pub struct StatsSnapshot {
     pub read_calls: u64,
     /// Write calls issued.
     pub write_calls: u64,
-    /// `Endpoint::readable` checks issued.
-    pub readable_polls: u64,
     /// `Endpoint::writable` checks issued.
     pub writable_polls: u64,
     /// Vectored write calls (see [`NetStats::vectored_writes`]).

@@ -970,30 +970,6 @@ impl TcpConn {
         }
     }
 
-    /// Probes the socket without consuming data: `recv(MSG_PEEK)`.
-    /// Returns `(readable, eof)`.
-    fn peek(&self) -> (bool, bool) {
-        let mut probe = 0u8;
-        let rc = unsafe { sys::recv(self.fd(), &mut probe, 1, sys::MSG_PEEK | sys::MSG_DONTWAIT) };
-        match rc {
-            0 => (true, true), // EOF is observable: a read makes progress.
-            n if n > 0 => (true, false),
-            _ => {
-                // A hard error (e.g. ECONNRESET) makes a read "progress"
-                // (it fails fast) and means the peer is gone — matching
-                // the sim transport, where a dead peer reports
-                // `peer_closed`. Only EAGAIN means "nothing yet".
-                let gone = sys::errno() != sys::EAGAIN;
-                (gone, gone)
-            }
-        }
-    }
-
-    pub(crate) fn readable(&self) -> bool {
-        self.inner.stats.record_readable_poll();
-        self.peek().0
-    }
-
     /// `true` if a write could make progress: kernel send-buffer space
     /// (`POLLOUT` with a zero timeout) or a fail-fast close. Matches the
     /// simulated pipes' contract — a rate limiter alone never makes this
@@ -1020,8 +996,19 @@ impl TcpConn {
         }
     }
 
+    /// Probes the socket without consuming data (`recv(MSG_PEEK)`): `true`
+    /// once EOF is observable or a hard error (e.g. `ECONNRESET`) says the
+    /// peer is gone — matching the sim transport, where a dead peer
+    /// reports `peer_closed`. Only `EAGAIN` or buffered bytes mean "not
+    /// yet".
     pub(crate) fn peer_closed(&self) -> bool {
-        self.peek().1
+        let mut probe = 0u8;
+        let rc = unsafe { sys::recv(self.fd(), &mut probe, 1, sys::MSG_PEEK | sys::MSG_DONTWAIT) };
+        match rc {
+            0 => true,
+            n if n > 0 => false,
+            _ => sys::errno() != sys::EAGAIN,
+        }
     }
 
     pub(crate) fn is_closed(&self) -> bool {
@@ -1191,15 +1178,6 @@ mod tests {
         let _second = stack.listen(&local(port)).unwrap();
     }
 
-    #[test]
-    fn readable_polls_are_counted_for_os_sockets() {
-        let stack = stack();
-        let (_listener, _client, server) = pair(&stack);
-        assert!(!server.readable());
-        assert!(!server.readable());
-        assert_eq!(stack.stats().snapshot().readable_polls, 2);
-    }
-
     /// A rate-limited endpoint whose kernel send buffer fills must block
     /// in the POLLOUT wait (not spin on acquire/EAGAIN/refund) and still
     /// deliver every byte once the reader drains.
@@ -1352,6 +1330,6 @@ mod tests {
             assert!(Instant::now() < deadline, "bytes never arrived");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(server.readable());
+        assert!(!server.peer_closed());
     }
 }

@@ -18,17 +18,11 @@
 //! ever registered with the *owning* shard's poller, and registration is
 //! level-triggered, so bytes arriving during the handoff cannot be lost.
 //!
-//! Two implementations exist, selected by [`DispatcherBackend`]:
-//!
-//! * [`DispatcherBackend::Event`] (default) — a wakeup-based reactor.
-//!   Accepts, task wakeups, cross-shard handoffs and graph teardown are
-//!   all event handlers keyed by a [`Token`] → watcher map; between events
-//!   the thread blocks in [`Poller::wait`] and performs **zero** endpoint
-//!   scans, so thousands of idle connections cost nothing.
-//! * [`DispatcherBackend::Poll`] — the historical sleep-poll loop, kept as
-//!   the ablation baseline (`flick_bench`'s `dispatcher_backend`
-//!   ablation): sleep `poll_interval`, then linearly re-scan every watched
-//!   endpoint.
+//! The dispatcher is a wakeup-based reactor. Accepts, task wakeups,
+//! cross-shard handoffs and graph teardown are all event handlers keyed by
+//! a [`Token`] → watcher map; between events the thread blocks in
+//! [`Poller::wait`] and performs **zero** endpoint scans, so thousands of
+//! idle connections cost nothing.
 
 use crate::metrics::RuntimeMetrics;
 use crate::platform::{GraphFactory, ServiceEnv, Watch};
@@ -42,41 +36,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which dispatcher implementation a platform runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DispatcherBackend {
-    /// Wakeup-based reactor: the dispatcher blocks on readiness events and
-    /// never scans idle connections. The default.
-    #[default]
-    Event,
-    /// Sleep `poll_interval`, then re-scan every watched endpoint. Kept as
-    /// the ablation baseline for the event backend.
-    Poll,
-}
-
-impl DispatcherBackend {
-    /// Short label used in benchmark output ("event", "poll").
-    pub fn label(self) -> &'static str {
-        match self {
-            DispatcherBackend::Event => "event",
-            DispatcherBackend::Poll => "poll",
-        }
-    }
-
-    /// Both backends, poll first (the ablation's baseline ordering).
-    pub fn all() -> [DispatcherBackend; 2] {
-        [DispatcherBackend::Poll, DispatcherBackend::Event]
-    }
-}
-
 /// How long a non-quiescent draining graph may linger before it is torn
 /// down forcibly.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
+/// The longest the dispatcher blocks in [`Poller::wait`] when no graph is
+/// draining and no accept retry is armed. Any event, a stop request
+/// included, wakes it earlier; on a beat an idle dispatcher scans nothing
+/// and simply waits again.
+const HEARTBEAT: Duration = Duration::from_millis(50);
+
 /// Per-service state shared between the platform, the shard dispatchers
 /// and the service handle.
 pub struct ServiceShared {
-    id: u64,
     name: String,
     /// The service's accept sockets. A single listener (the common case,
     /// and all of the simulated transport) is homed on `home_shard`. With
@@ -103,9 +75,7 @@ pub struct ServiceShared {
 
 impl ServiceShared {
     /// Creates the shared service state (platform-internal).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        id: u64,
         name: String,
         listeners: Vec<Listener>,
         factory: Arc<dyn GraphFactory>,
@@ -117,7 +87,6 @@ impl ServiceShared {
             "a service needs at least one listener"
         );
         ServiceShared {
-            id,
             name,
             listeners,
             factory,
@@ -266,22 +235,8 @@ fn build_graph(
     }
 }
 
-/// The dispatcher loop of one shard; runs on its own thread until the
-/// platform requests a stop.
-pub(crate) fn run_shard_dispatcher(
-    set: Arc<ShardSet>,
-    shard: Arc<Shard>,
-    backend: DispatcherBackend,
-    poll_interval: Duration,
-) {
-    match backend {
-        DispatcherBackend::Event => run_event_dispatcher(set, shard, poll_interval),
-        DispatcherBackend::Poll => run_poll_dispatcher(set, shard, poll_interval),
-    }
-}
-
-/// A service homed on this shard: its listener is registered with (or, for
-/// the poll backend, scanned by) this shard's dispatcher.
+/// A service homed on this shard: its listener is registered with this
+/// shard's dispatcher.
 struct HomedService {
     shared: Arc<ServiceShared>,
     /// Connections accepted but not yet grouped into a graph instance.
@@ -291,7 +246,6 @@ struct HomedService {
 /// Groups `pending_clients` into graph instances and places each group:
 /// built locally if the policy picks this shard, handed off through the
 /// target shard's inbox otherwise.
-#[allow(clippy::too_many_arguments)]
 fn place_pending_graphs(
     set: &ShardSet,
     shard: &Arc<Shard>,
@@ -317,110 +271,6 @@ fn place_pending_graphs(
     }
 }
 
-/// The sleep-poll dispatcher: the ablation baseline. Every iteration
-/// drains the shard inbox, re-scans all watched endpoints
-/// (`Endpoint::readable`) and all live graphs, then sleeps
-/// `poll_interval`.
-fn run_poll_dispatcher(set: Arc<ShardSet>, shard: Arc<Shard>, poll_interval: Duration) {
-    let mut services: HashMap<u64, HomedService> = HashMap::new();
-    let mut graphs: Vec<LiveGraph> = Vec::new();
-
-    while !set.stopping() {
-        // 0. Shard inbox: new services homed here, graphs handed off here.
-        for command in shard.drain_inbox() {
-            match command {
-                ShardCommand::AddService(shared) => {
-                    services.insert(
-                        shared.id,
-                        HomedService {
-                            shared,
-                            pending_clients: Vec::new(),
-                        },
-                    );
-                }
-                ShardCommand::BuildGraph { service, clients } => {
-                    if !service.stopped() {
-                        if let Some(graph) = build_graph(&shard, &service, clients) {
-                            graphs.push(graph);
-                        }
-                    }
-                }
-            }
-        }
-        // 1. Application dispatcher: accept new connections, then place
-        //    complete connection groups onto shards.
-        for entry in services.values_mut() {
-            if entry.shared.stopped() {
-                continue;
-            }
-            // A Resources backoff needs no bookkeeping here: the poll
-            // backend re-drains every listener each tick anyway.
-            if let Some(listener) = entry.shared.listener_on(shard.id()) {
-                accept_pending(&entry.shared, listener, &mut entry.pending_clients);
-            }
-            place_pending_graphs(
-                &set,
-                &shard,
-                &entry.shared,
-                &mut entry.pending_clients,
-                |service, clients| {
-                    if let Some(graph) = build_graph(&shard, service, clients) {
-                        graphs.push(graph);
-                    }
-                },
-            );
-        }
-        // 2. Stopped services: close their listeners and forcibly tear
-        //    down their graphs on this shard.
-        services.retain(|_, entry| {
-            if entry.shared.stopped() {
-                entry.shared.close_listeners();
-                false
-            } else {
-                true
-            }
-        });
-        graphs.retain_mut(|graph| {
-            if graph.service.stopped() {
-                teardown_graph(shard.scheduler(), graph);
-                false
-            } else {
-                true
-            }
-        });
-        // 3. Poll connections and wake input tasks; tear down graphs whose
-        //    client connections have all finished.
-        let scheduler = shard.scheduler();
-        graphs.retain_mut(|graph| {
-            graph.watchers.retain(|watch| {
-                if !scheduler.is_registered(watch.task) {
-                    return false;
-                }
-                // Only readable watches are scanned: under this backend
-                // output tasks run busy-retry (the platform forces
-                // `OutputMode::BusyRetry`, see `deploy_on_listener`), so a
-                // blocked writer re-schedules itself and a writable scan
-                // would only burn a per-connection no-op task run every
-                // tick. Writable watches stay in the list for the
-                // interest-aware drain close and teardown bookkeeping.
-                if watch.interest.is_readable() && watch.endpoint.readable() {
-                    scheduler.schedule(watch.task);
-                }
-                true
-            });
-            !advance_graph_lifecycle(scheduler, graph)
-        });
-        std::thread::sleep(poll_interval);
-    }
-    // Tear everything down on shutdown.
-    for entry in services.values() {
-        entry.shared.close_listeners();
-    }
-    for mut graph in graphs {
-        teardown_graph(shard.scheduler(), &mut graph);
-    }
-}
-
 /// Forcibly removes a graph's tasks (service stop or shard shutdown) and
 /// settles its counters.
 fn teardown_graph(scheduler: &Scheduler, graph: &mut LiveGraph) {
@@ -431,9 +281,8 @@ fn teardown_graph(scheduler: &Scheduler, graph: &mut LiveGraph) {
     graph.service.live_graphs.fetch_sub(1, Ordering::Relaxed);
 }
 
-/// Advances one graph's drain/teardown lifecycle; shared by both
-/// dispatcher backends so the ablation compares dispatch mechanisms, not
-/// divergent drain semantics. Once every *client* task has finished the
+/// Advances one graph's drain/teardown lifecycle. Once every *client* task
+/// has finished the
 /// graph starts draining: the remaining watched connections are closed
 /// (their input tasks observe EOF), every task gets a final chance to
 /// flush, and a grace deadline bounds a non-quiescent graph. Returns
@@ -483,14 +332,14 @@ fn advance_graph_lifecycle(scheduler: &Scheduler, graph: &mut LiveGraph) -> bool
     }
 }
 
-/// Per-graph bookkeeping of the event dispatcher.
+/// Per-graph bookkeeping of the dispatcher.
 struct EventGraph {
     graph: LiveGraph,
     /// The tokens this graph's watched endpoints are registered under.
     watch_tokens: Vec<Token>,
 }
 
-/// One entry of the event dispatcher's `Token` → watcher map.
+/// One entry of the dispatcher's `Token` → watcher map.
 struct Watcher {
     graph_id: u64,
     task: TaskId,
@@ -501,7 +350,7 @@ struct Watcher {
     interest: Interest,
 }
 
-/// The mutable state of one shard's event reactor.
+/// The mutable state of one shard's reactor.
 struct EventState {
     /// Services homed on this shard, keyed by listener token.
     services: HashMap<Token, HomedService>,
@@ -580,13 +429,14 @@ fn build_and_track_graph(
     );
 }
 
-/// The wakeup-based reactor of one shard. The thread blocks in
-/// [`Poller::wait`]; every state transition anywhere on the shard — a new
-/// pending accept, bytes arriving on a watched connection, EOF, a task
-/// exiting the scheduler, a command from another shard — arrives as an
-/// [`flick_net::Event`] and is handled by token. An idle shard performs
-/// zero endpoint scans between events.
-fn run_event_dispatcher(set: Arc<ShardSet>, shard: Arc<Shard>, poll_interval: Duration) {
+/// The dispatcher loop of one shard; runs on its own thread until the
+/// platform requests a stop. The thread blocks in [`Poller::wait`]; every
+/// state transition anywhere on the shard — a new pending accept, bytes
+/// arriving on a watched connection, EOF, a task exiting the scheduler, a
+/// command from another shard — arrives as an [`flick_net::Event`] and is
+/// handled by token. An idle shard performs zero endpoint scans between
+/// events.
+pub(crate) fn run_shard_dispatcher(set: Arc<ShardSet>, shard: Arc<Shard>) {
     let poller = shard.poller().clone();
     let scheduler = Arc::clone(shard.scheduler());
     let mut state = EventState {
@@ -599,11 +449,10 @@ fn run_event_dispatcher(set: Arc<ShardSet>, shard: Arc<Shard>, poll_interval: Du
     };
 
     while !set.stopping() {
-        // Block until something happens. `poll_interval` survives only as a
-        // lower bound on the drain/teardown heartbeat: with no graph
-        // draining the reactor sleeps in long beats (woken early by any
-        // event), and with one draining it wakes at the drain deadline.
-        // An armed accept-backoff retry clamps the wait the same way.
+        // Block until something happens: with no graph draining the
+        // reactor sleeps in heartbeats (woken early by any event), and
+        // with one draining it wakes at the drain deadline. An armed
+        // accept-backoff retry clamps the wait the same way.
         let now = Instant::now();
         let timeout = state
             .draining
@@ -611,7 +460,7 @@ fn run_event_dispatcher(set: Arc<ShardSet>, shard: Arc<Shard>, poll_interval: Du
             .chain(state.accept_retry.values())
             .min()
             .map(|deadline| deadline.saturating_duration_since(now))
-            .unwrap_or_else(|| poll_interval.max(Duration::from_millis(50)));
+            .unwrap_or(HEARTBEAT);
         let events = poller.wait(timeout);
         if set.stopping() {
             break;
@@ -812,10 +661,10 @@ fn run_event_dispatcher(set: Arc<ShardSet>, shard: Arc<Shard>, poll_interval: Du
     }
 }
 
-/// Lifecycle check for one graph of the event dispatcher, run only when a
-/// task-exit event (or the drain heartbeat) says something changed: the
-/// shared [`advance_graph_lifecycle`] decides, and this function keeps the
-/// event dispatcher's token and draining indexes consistent with it.
+/// Lifecycle check for one graph, run only when a task-exit event (or the
+/// drain heartbeat) says something changed: [`advance_graph_lifecycle`]
+/// decides, and this function keeps the dispatcher's token and draining
+/// indexes consistent with it.
 fn evaluate_graph(scheduler: &Scheduler, poller: &Poller, state: &mut EventState, graph_id: u64) {
     let Some(entry) = state.graphs.get_mut(&graph_id) else {
         state.draining.remove(&graph_id);
@@ -829,7 +678,7 @@ fn evaluate_graph(scheduler: &Scheduler, poller: &Poller, state: &mut EventState
         return;
     }
     // Torn down (tasks removed and counters updated by the lifecycle
-    // helper): drop the event dispatcher's own bookkeeping.
+    // helper): drop the dispatcher's own bookkeeping.
     let entry = state.graphs.remove(&graph_id).expect("checked above");
     state.draining.remove(&graph_id);
     for token in &entry.watch_tokens {
@@ -987,9 +836,10 @@ mod tests {
                     Box::new(RespondLogic),
                 )),
             );
-            let mut out_task = OutputTask::new("http-out", client.clone(), codec, resp_rx);
-            out_task.set_mode(env.output_mode);
-            builder.install(output_node, Box::new(out_task));
+            builder.install(
+                output_node,
+                Box::new(OutputTask::new("http-out", client.clone(), codec, resp_rx)),
+            );
             Ok(BuiltGraph {
                 graph: builder.build(),
                 watchers: vec![
@@ -1186,15 +1036,14 @@ mod tests {
         assert!(platform.net().connect(8082).is_err());
     }
 
-    /// The headline property of the event backend: an idle deployed service
+    /// The headline property of the dispatcher: an idle deployed service
     /// performs zero endpoint scans between events. The dispatcher blocks
     /// in `Poller::wait` while a connected-but-silent client sits for
-    /// 100 ms, so neither `Endpoint::readable` nor `Endpoint::read` fires.
+    /// 100 ms, so no `Endpoint::read` is issued and no task runs.
     #[test]
     fn idle_service_performs_no_endpoint_scans() {
         let platform = Platform::new(PlatformConfig {
             workers: 2,
-            dispatcher: DispatcherBackend::Event,
             ..Default::default()
         });
         let _service = platform
@@ -1214,84 +1063,17 @@ mod tests {
         // Let in-flight wakeups settle before measuring.
         std::thread::sleep(Duration::from_millis(20));
         let before = net.stats().snapshot();
+        let runs_before = platform.metrics().snapshot().task_runs;
         std::thread::sleep(Duration::from_millis(100));
         let after = net.stats().snapshot();
-        assert_eq!(
-            after.readable_polls, before.readable_polls,
-            "idle event dispatcher must not call Endpoint::readable"
-        );
+        let runs_after = platform.metrics().snapshot().task_runs;
         assert_eq!(
             after.read_calls, before.read_calls,
-            "idle event dispatcher must not issue reads"
+            "idle dispatcher must not issue reads"
         );
-    }
-
-    /// The poll backend is kept for the dispatcher_backend ablation; it
-    /// must still serve traffic and, unlike the event backend, it *does*
-    /// scan endpoints while idle.
-    #[test]
-    fn poll_backend_still_serves_and_scans() {
-        let platform = Platform::new(PlatformConfig {
-            workers: 2,
-            dispatcher: DispatcherBackend::Poll,
-            ..Default::default()
-        });
-        let service = platform
-            .deploy(ServiceSpec::new("web", 8084, Arc::new(StaticServerFactory)))
-            .unwrap();
-        let net = platform.net();
-        let client = net.connect(8084).unwrap();
-        client
-            .write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
-            .unwrap();
-        let mut buf = [0u8; 1024];
-        let n = client
-            .read_timeout(&mut buf, Duration::from_secs(5))
-            .unwrap();
-        assert!(n > 0);
-        let before = net.stats().snapshot();
-        std::thread::sleep(Duration::from_millis(20));
-        let after = net.stats().snapshot();
-        assert!(
-            after.readable_polls > before.readable_polls,
-            "poll dispatcher re-scans idle endpoints"
+        assert_eq!(
+            runs_after, runs_before,
+            "idle dispatcher must not run tasks"
         );
-        client.close();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while service.live_graphs() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(service.live_graphs(), 0);
-    }
-
-    #[test]
-    fn poll_backend_serves_across_shards() {
-        let platform = Platform::new(PlatformConfig {
-            workers: 2,
-            shards: 2,
-            dispatcher: DispatcherBackend::Poll,
-            ..Default::default()
-        });
-        let service = platform
-            .deploy(ServiceSpec::new("web", 8086, Arc::new(StaticServerFactory)))
-            .unwrap();
-        let net = platform.net();
-        let clients: Vec<_> = (0..4).map(|_| net.connect(8086).unwrap()).collect();
-        for c in &clients {
-            c.write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-            let mut buf = [0u8; 1024];
-            let n = c.read_timeout(&mut buf, Duration::from_secs(5)).unwrap();
-            assert!(n > 0);
-        }
-        assert_eq!(service.connections_accepted(), 4);
-        let status = platform.shard_status();
-        assert!(status.iter().all(|s| s.graphs_built >= 1), "{status:?}");
-    }
-
-    #[test]
-    fn backend_labels_are_stable() {
-        assert_eq!(DispatcherBackend::Event.label(), "event");
-        assert_eq!(DispatcherBackend::Poll.label(), "poll");
-        assert_eq!(DispatcherBackend::default(), DispatcherBackend::Event);
     }
 }

@@ -44,7 +44,7 @@ pub mod tasks;
 pub mod value;
 
 pub use channel::{ChannelConsumer, ChannelProducer, SendError, TaskChannel};
-pub use dispatcher::{DeployedService, DispatcherBackend};
+pub use dispatcher::DeployedService;
 pub use error::RuntimeError;
 pub use graph::{GraphBuilder, GraphInstance, NodeId};
 pub use metrics::{MetricsSnapshot, RuntimeMetrics};

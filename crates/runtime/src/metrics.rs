@@ -30,8 +30,9 @@ pub struct RuntimeMetrics {
     pub tasks_stolen: AtomicU64,
     /// Output-task dispatches that ended in a busy retry: the write
     /// blocked and the task asked to be re-run immediately instead of
-    /// parking on writable readiness. Zero under the wakeup-driven output
-    /// mode while a peer is stalled — the stress tests assert it.
+    /// parking on writable readiness. Only a rate-limiter stall does that
+    /// (no peer transition will announce its end), so a stalled peer
+    /// leaves it at zero — the stress tests assert it.
     pub output_busy_retries: AtomicU64,
     /// Health-aware backend checkouts (`BackendPool::checkout_healthy`
     /// calls), each allowed at most the policy's retry budget of extra

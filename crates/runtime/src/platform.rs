@@ -12,7 +12,7 @@
 //! from loaded ones through the scheduler's
 //! [`steal`](crate::scheduler::steal) path.
 
-use crate::dispatcher::{run_shard_dispatcher, DeployedService, DispatcherBackend, ServiceShared};
+use crate::dispatcher::{run_shard_dispatcher, DeployedService, ServiceShared};
 use crate::error::RuntimeError;
 use crate::graph::{GraphInstance, TaskIdAllocator};
 use crate::metrics::RuntimeMetrics;
@@ -26,7 +26,6 @@ use flick_net::{Endpoint, Interest, Listener, SimNetwork, StackModel, TcpStack};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// The default shard count: one per available core, as the paper sizes its
 /// runtime ("the number of worker threads matches the number of cores").
@@ -55,25 +54,11 @@ pub struct PlatformConfig {
     pub policy: SchedulingPolicy,
     /// Transport-stack cost model for every connection.
     pub stack: StackModel,
-    /// Which dispatcher implementation shards run (wakeup-based reactor
-    /// by default; the sleep-poll loop remains available for ablations).
-    pub dispatcher: DispatcherBackend,
-    /// For [`DispatcherBackend::Poll`]: how often the dispatcher re-scans
-    /// connections for readability. For [`DispatcherBackend::Event`] this
-    /// is demoted to a lower bound on the drain/teardown heartbeat — the
-    /// reactor blocks on events and never scans. Kept as a field so
-    /// existing call sites compile unchanged.
-    pub poll_interval: Duration,
     /// Capacity of task channels created by graph factories.
     pub channel_capacity: usize,
-    /// Whether backend connections are drawn from a pre-established pool.
-    pub backend_pooling: bool,
     /// Backend health/routing policy: candidate ordering, passive
     /// ejection thresholds and the per-checkout retry budget.
     pub backend_policy: BackendPolicy,
-    /// How output tasks behave when a write blocks (wakeup-driven parking
-    /// by default; the busy-retry loop remains available for ablations).
-    pub output_mode: OutputMode,
     /// How compiled service logic executes (bytecode VM by default; the
     /// tree-walking interpreter remains available for ablations).
     pub exec_mode: ExecMode,
@@ -87,12 +72,8 @@ impl Default for PlatformConfig {
             placement: Placement::default(),
             policy: SchedulingPolicy::default(),
             stack: StackModel::Free,
-            dispatcher: DispatcherBackend::default(),
-            poll_interval: Duration::from_micros(50),
             channel_capacity: 1024,
-            backend_pooling: false,
             backend_policy: BackendPolicy::default(),
-            output_mode: OutputMode::default(),
             exec_mode: ExecMode::default(),
         }
     }
@@ -144,8 +125,10 @@ pub struct ServiceEnv {
     pub allocator: Arc<TaskIdAllocator>,
     /// Capacity to use for task channels.
     pub channel_capacity: usize,
-    /// Blocked-write behaviour factories should install on the output
-    /// tasks they build ([`crate::tasks::OutputTask::set_mode`]).
+    /// Has no effect: output tasks always park on writable readiness
+    /// ([`OutputMode`] has a single variant). The field stays because
+    /// external code that builds a `ServiceEnv` by hand (the repository
+    /// benchmark) still names it.
     pub output_mode: OutputMode,
     /// Execution mode compiled-service factories should build their
     /// compute logic for (bytecode VM or tree-walking interpreter).
@@ -341,11 +324,9 @@ impl Platform {
             .map(|shard| {
                 let set = Arc::clone(&set);
                 let shard = Arc::clone(shard);
-                let backend = config.dispatcher;
-                let poll_interval = config.poll_interval;
                 std::thread::Builder::new()
                     .name(format!("flick-dispatch-{}", shard.id()))
-                    .spawn(move || run_shard_dispatcher(set, shard, backend, poll_interval))
+                    .spawn(move || run_shard_dispatcher(set, shard))
                     .expect("spawning a shard dispatcher thread")
             })
             .collect();
@@ -446,8 +427,17 @@ impl Platform {
         // Kernel accept sharding: one SO_REUSEPORT socket per shard, so
         // every shard's dispatcher drains its own kernel accept queue and
         // new connections never funnel through a single thread. On one
-        // shard this degenerates to a plain listener.
-        let listeners = self.tcp_stack().listen_group(addr, self.set.len())?;
+        // shard this degenerates to a plain listener. A service whose graph
+        // spans several connections gets one listener: each shard groups
+        // only the connections it accepted itself, so connections the
+        // kernel hashed to different shards would never form a graph. Its
+        // graphs are still placed across shards.
+        let count = if spec.factory.connections_per_graph() == 1 {
+            self.set.len()
+        } else {
+            1
+        };
+        let listeners = self.tcp_stack().listen_group(addr, count)?;
         let port = listeners[0].port();
         self.deploy_on_listeners(
             spec,
@@ -497,27 +487,17 @@ impl Platform {
         }
         let backends = BackendPool::configured(
             targets,
-            self.config.backend_pooling,
+            false,
             self.config.backend_policy,
             Some(Arc::clone(&self.metrics)),
         );
-        // The poll backend has no writable-event path (it is the
-        // historical sleep-poll baseline), so its output tasks keep the
-        // historical busy-retry behaviour; parking them would strand a
-        // blocked writer until graph teardown. Wakeup-driven output is an
-        // event-dispatcher capability.
-        let output_mode = if self.config.dispatcher == DispatcherBackend::Poll {
-            OutputMode::BusyRetry
-        } else {
-            self.config.output_mode
-        };
         let env = ServiceEnv {
             net: Arc::clone(&self.net),
             globals: globals.clone(),
             backends,
             allocator: Arc::clone(&self.allocator),
             channel_capacity: self.config.channel_capacity,
-            output_mode,
+            output_mode: OutputMode::Wakeup,
             exec_mode: spec.exec_mode.unwrap_or(self.config.exec_mode),
         };
         let id = self.next_service.fetch_add(1, Ordering::Relaxed);
@@ -530,7 +510,6 @@ impl Platform {
             (0..listeners.len().min(self.set.len())).collect()
         };
         let shared = Arc::new(ServiceShared::new(
-            id,
             spec.name.clone(),
             listeners,
             spec.factory,
@@ -604,7 +583,6 @@ mod tests {
         let cfg = PlatformConfig::new(8, StackModel::Mtcp);
         assert_eq!(cfg.workers, 8);
         assert_eq!(cfg.stack, StackModel::Mtcp);
-        assert!(!cfg.backend_pooling);
     }
 
     #[test]

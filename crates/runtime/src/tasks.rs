@@ -380,33 +380,18 @@ impl Task for ComputeTask {
 // ---------------------------------------------------------------------------
 
 /// How an [`OutputTask`] behaves when its connection cannot take more
-/// bytes ([`NetError::WouldBlock`] with a full peer buffer).
+/// bytes. One behaviour is left: the task parks on writable readiness and
+/// the dispatcher's writable-interest watch re-schedules it when the peer
+/// drains (or closes).
+///
+/// The enum has no effect. It stays only because external code (the
+/// repository benchmark in `perfbench/`) still names it when it builds a
+/// [`crate::ServiceEnv`] by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputMode {
-    /// Park on writable readiness: the task returns [`TaskStatus::Idle`]
-    /// and the dispatcher's writable-interest watch re-schedules it when
-    /// the peer drains (or closes). The default.
+    /// Park on writable readiness. The only mode.
     #[default]
     Wakeup,
-    /// Return [`TaskStatus::Runnable`] and retry immediately — the
-    /// historical busy loop, kept as the ablation baseline for the
-    /// writable-interest path (`flick_bench`'s output-mode ablation).
-    BusyRetry,
-}
-
-impl OutputMode {
-    /// Short label used in benchmark output ("wakeup", "busy").
-    pub fn label(self) -> &'static str {
-        match self {
-            OutputMode::Wakeup => "wakeup",
-            OutputMode::BusyRetry => "busy",
-        }
-    }
-
-    /// Both modes, busy first (the ablation's baseline ordering).
-    pub fn all() -> [OutputMode; 2] {
-        [OutputMode::BusyRetry, OutputMode::Wakeup]
-    }
 }
 
 /// How compiled service logic executes inside compute tasks.
@@ -442,11 +427,11 @@ impl ExecMode {
 
 /// A task that serialises values and writes them to one connection.
 ///
-/// A blocked write never spins: under the default [`OutputMode::Wakeup`]
-/// the task parks until the dispatcher delivers writable readiness for its
-/// endpoint. The only immediate retries left are rate-limiter stalls —
-/// time-based, so no peer transition will ever announce them — and those
-/// are counted in [`RuntimeMetrics::output_busy_retries`].
+/// A blocked write never spins: the task parks until the dispatcher
+/// delivers writable readiness for its endpoint. The only immediate
+/// retries left are rate-limiter stalls — time-based, so no peer
+/// transition will ever announce them — and those are counted in
+/// [`RuntimeMetrics::output_busy_retries`].
 pub struct OutputTask {
     label: String,
     endpoint: Endpoint,
@@ -460,7 +445,6 @@ pub struct OutputTask {
     /// the shared allocation goes to the kernel where it sits.
     body: Option<(Bytes, usize)>,
     close_on_finish: bool,
-    mode: OutputMode,
 }
 
 impl OutputTask {
@@ -479,7 +463,6 @@ impl OutputTask {
             outbuf: Vec::with_capacity(READ_CHUNK),
             body: None,
             close_on_finish: true,
-            mode: OutputMode::default(),
         }
     }
 
@@ -487,11 +470,6 @@ impl OutputTask {
     /// finishes (default `true`).
     pub fn set_close_on_finish(&mut self, close: bool) {
         self.close_on_finish = close;
-    }
-
-    /// Sets the blocked-write behaviour (default [`OutputMode::Wakeup`]).
-    pub fn set_mode(&mut self, mode: OutputMode) {
-        self.mode = mode;
     }
 
     /// The connection this task writes to.
@@ -544,11 +522,10 @@ impl OutputTask {
     }
 
     /// Status for a blocked (`WouldBlock`) flush: park on writable
-    /// readiness unless busy retrying is the configured mode or the block
-    /// is a rate limiter (buffer space exists, so no peer transition will
-    /// ever wake us — the clock has to).
+    /// readiness unless the block is a rate limiter (buffer space exists,
+    /// so no peer transition will ever wake us — the clock has to).
     fn blocked(&self, ctx: &mut TaskContext) -> TaskStatus {
-        if self.mode == OutputMode::BusyRetry || self.endpoint.writable() {
+        if self.endpoint.writable() {
             RuntimeMetrics::add(&ctx.metrics().output_busy_retries, 1);
             TaskStatus::Runnable
         } else {

@@ -103,9 +103,10 @@ impl GraphFactory for StaticWebServerFactory {
                 }),
             )),
         );
-        let mut out_task = OutputTask::new("http-out", client.clone(), codec, resp_rx);
-        out_task.set_mode(env.output_mode);
-        builder.install(output_node, Box::new(out_task));
+        builder.install(
+            output_node,
+            Box::new(OutputTask::new("http-out", client.clone(), codec, resp_rx)),
+        );
         Ok(BuiltGraph {
             graph: builder.build(),
             watchers: vec![
@@ -228,13 +229,19 @@ impl GraphFactory for HttpLoadBalancerFactory {
                 Box::new(ForwardLogic),
             )),
         );
-        let mut backend_out_task =
-            OutputTask::new("backend-out", backend.clone(), codec.clone(), fwd_rx);
-        backend_out_task.set_mode(env.output_mode);
-        builder.install(backend_out, Box::new(backend_out_task));
-        let mut client_out_task = OutputTask::new("client-out", client.clone(), codec, ret_rx);
-        client_out_task.set_mode(env.output_mode);
-        builder.install(client_out, Box::new(client_out_task));
+        builder.install(
+            backend_out,
+            Box::new(OutputTask::new(
+                "backend-out",
+                backend.clone(),
+                codec.clone(),
+                fwd_rx,
+            )),
+        );
+        builder.install(
+            client_out,
+            Box::new(OutputTask::new("client-out", client.clone(), codec, ret_rx)),
+        );
 
         Ok(BuiltGraph {
             graph: builder.build(),

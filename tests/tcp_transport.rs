@@ -91,15 +91,17 @@ fn http_request_round_trips_over_a_real_socket() {
     let stack = platform.tcp_stack();
     let stats = stack.stats();
     let before = stats.snapshot();
+    let runs_before = platform.metrics().snapshot().task_runs;
     std::thread::sleep(Duration::from_millis(100));
     let after = stats.snapshot();
-    assert_eq!(
-        after.readable_polls, before.readable_polls,
-        "idle event dispatcher must not scan OS endpoints"
-    );
+    let runs_after = platform.metrics().snapshot().task_runs;
     assert_eq!(
         after.read_calls, before.read_calls,
         "idle event dispatcher must not issue reads on OS endpoints"
+    );
+    assert_eq!(
+        runs_after, runs_before,
+        "idle event dispatcher must not run tasks"
     );
 }
 
@@ -217,6 +219,123 @@ fn connections_are_served_across_shards_over_tcp() {
         status.iter().all(|s| s.graphs_built >= 1),
         "round-robin placement must reach every shard: {status:?}"
     );
+}
+
+/// A service whose graph spans several connections (the wordcount
+/// aggregator: one graph per pair of mappers) must form its graphs on a
+/// sharded platform. Each shard groups only the connections it accepted
+/// itself, so the platform gives such a service one accept socket rather
+/// than one per shard: with per-shard sockets, two mappers the kernel
+/// hashed to different shards would each wait forever for a partner.
+/// Every round must deliver the exact word totals to the reducer.
+#[test]
+fn multi_connection_graphs_form_under_accept_sharding() {
+    use flick::grammar::hadoop::{count_kv, HadoopKvCodec};
+    use flick::grammar::WireCodec;
+    use std::collections::BTreeMap;
+    use std::net::TcpListener;
+
+    const ROUND_TIMEOUT: Duration = Duration::from_secs(5);
+    let platform = Platform::new(PlatformConfig {
+        workers: 2,
+        shards: 2,
+        ..Default::default()
+    });
+    let reducer = TcpListener::bind("127.0.0.1:0").unwrap();
+    reducer.set_nonblocking(true).unwrap();
+    let spec = ServiceSpec::new(
+        "wordcount",
+        0,
+        flick::services::hadoop::hadoop_aggregator(2),
+    )
+    .with_tcp_backends(vec![reducer.local_addr().unwrap().to_string()]);
+    let service = platform.deploy_tcp(spec, "127.0.0.1:0").unwrap();
+    let addr = format!("127.0.0.1:{}", service.port());
+    let codec = HadoopKvCodec::new();
+
+    for round in 0..8u64 {
+        // Two mapper streams over a small vocabulary; the expected totals
+        // are their per-word sums.
+        let mut expected: BTreeMap<String, u64> = BTreeMap::new();
+        let streams: Vec<Vec<u8>> = (0..2u64)
+            .map(|mapper| {
+                let mut bytes = Vec::new();
+                for i in 0..200u64 {
+                    let word = format!("w{}", (i * 7 + mapper + round) % 23);
+                    let count = 1 + (i + mapper * 3 + round) % 9;
+                    *expected.entry(word.clone()).or_insert(0) += count;
+                    codec
+                        .serialize(&count_kv(&word, count), &mut bytes)
+                        .unwrap();
+                }
+                bytes
+            })
+            .collect();
+        let mappers: Vec<_> = streams
+            .into_iter()
+            .map(|bytes| {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    let mut conn = TcpStream::connect(&addr).expect("mapper connects");
+                    conn.write_all(&bytes).expect("mapper sends");
+                })
+            })
+            .collect();
+        for mapper in mappers {
+            mapper.join().expect("mapper thread");
+        }
+
+        // The aggregator opens its reducer connection when the graph
+        // forms; the round fails if that never happens.
+        let deadline = Instant::now() + ROUND_TIMEOUT;
+        let mut conn = loop {
+            match reducer.accept() {
+                Ok((conn, _)) => break conn,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    assert!(
+                        Instant::now() < deadline,
+                        "round {round}: the two mapper connections never formed a graph"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("round {round}: reducer accept: {e}"),
+            }
+        };
+        conn.set_nonblocking(false).unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while totals != expected {
+            assert!(
+                Instant::now() < deadline,
+                "round {round}: reducer totals {totals:?} never reached {expected:?}"
+            );
+            match conn.read(&mut chunk) {
+                Ok(0) => panic!("round {round}: reducer stream ended at totals {totals:?}"),
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) => {}
+                Err(e) => panic!("round {round}: reducer read: {e}"),
+            }
+            // Records are `key_len: u32 BE, value_len: u32 BE, key, value`.
+            while buf.len() >= 8 {
+                let klen = u32::from_be_bytes(buf[0..4].try_into().unwrap()) as usize;
+                let vlen = u32::from_be_bytes(buf[4..8].try_into().unwrap()) as usize;
+                if buf.len() < 8 + klen + vlen {
+                    break;
+                }
+                let key = String::from_utf8(buf[8..8 + klen].to_vec()).unwrap();
+                let value = std::str::from_utf8(&buf[8 + klen..8 + klen + vlen]).unwrap();
+                *totals.entry(key).or_insert(0) += value.parse::<u64>().unwrap();
+                buf.drain(..8 + klen + vlen);
+            }
+        }
+    }
 }
 
 /// The blocking loopback workload driver measures real throughput and
